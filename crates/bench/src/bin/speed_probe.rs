@@ -230,24 +230,8 @@ fn main() {
             // No store attached: every configuration was simulated.
             None => (0, result.rows.len() as u64),
         };
-        let mem = result.total_mem();
-        let dispatch = result.total_dispatch();
-        let (port_accesses, port_stall_slots) = result.total_ports();
-        let row = KernelRow {
-            name: factory.name.to_owned(),
-            configs: result.rows.len(),
-            seconds: dt.as_secs_f64(),
-            util: result.mean_dram_utilization(),
-            mem,
-            dispatch,
-            instructions: result.total_instructions(),
-            cache_hits: hits,
-            cache_misses: misses,
-            port_accesses,
-            port_stall_slots,
-            trace_records: result.trace_records,
-            trace_replays: result.trace_replays,
-        };
+        let row = KernelRow::of_campaign(&result, dt.as_secs_f64(), hits, misses);
+        let (port_accesses, port_stall_slots) = (row.port_accesses, row.port_stall_slots);
         println!(
             "{:<13} {:>4} configs x3 policies: {:>8.2?}  (dram util {:.2}, L1 {:>5.1}%, \
              L2 {:>5.1}%, {} DRAM reqs, {:.1} rnds/launch, {:.1} lanes/rnd, \

@@ -9,11 +9,12 @@
 //! only the delta.
 //!
 //! Layout: one JSON-lines shard per kernel (`<dir>/<kernel>.jsonl`), in
-//! the same hand-rolled serde-free dialect as the probe shards. Every
+//! the same hand-rolled serde-free dialect as the probe shards (one
+//! scanner reads both: [`crate::jsonl`]). Every
 //! row carries **all** raw `MemStats`/`DispatchStats` counters (not the
 //! derived rates), so results reassembled from the store merge exactly
 //! like freshly simulated ones. Writes are atomic (tmp-file + rename via
-//! [`crate::persist::atomic_write`]); loads skip truncated or foreign lines, so
+//! [`crate::persist`]); loads skip truncated or foreign lines, so
 //! a store that survived a kill simply re-derives the lost tail.
 //!
 //! The cache is process-wide opt-in: binaries take a `--cache DIR` flag,
@@ -24,18 +25,20 @@
 //! folded into every digest, so rows written by a semantically different
 //! engine can never be returned.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use vortex_asm::Program;
 use vortex_core::ENGINE_SEMANTICS_VERSION as SEMVER;
-use vortex_core::{digest_device_config, digest_program, DispatchStats, Fnv64};
-use vortex_sim::{CacheStats, DeviceConfig, MemStats};
+use vortex_core::{digest_device_config, digest_program, Fnv64};
+use vortex_sim::DeviceConfig;
 
 use crate::campaign::{ConfigRow, Scale};
-use crate::persist::atomic_write;
+use crate::jsonl::{fields, push_f64, push_hex16, push_key, push_u64};
+use crate::persist::replace_file;
 
 /// Computes the content key of one campaign row: the digest of every
 /// input the row's cycles and counters are a function of.
@@ -94,21 +97,56 @@ pub struct CacheCounters {
 }
 
 /// One kernel's shard: rows by key, ordered so flushed files are
-/// deterministic.
+/// deterministic. A row's `config` is only as good as its topology (the
+/// rest is the inserter's, or the defaults when read from disk); a hit
+/// hands out the caller's configuration instead.
 #[derive(Debug, Default)]
 struct Shard {
-    rows: BTreeMap<u64, StoredRow>,
+    rows: BTreeMap<u64, ConfigRow>,
     dirty: bool,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inner {
     shards: HashMap<String, Shard>,
-    hits: u64,
-    misses: u64,
-    insertions: u64,
-    bytes_read: u64,
-    bytes_written: u64,
+    /// `entries` is derived from `shards` when read.
+    counters: CacheCounters,
+}
+
+impl Inner {
+    /// The stored row for `key` as a row of `config`. A stored topology
+    /// mismatch — only possible on a digest collision — is no row.
+    fn row(&self, kernel: &str, key: u64, config: &DeviceConfig) -> Option<ConfigRow> {
+        let row = self.shards.get(kernel)?.rows.get(&key)?;
+        let topology = |c: &DeviceConfig| (c.cores, c.warps, c.threads, c.cores_per_cluster);
+        (topology(&row.config) == topology(config))
+            .then(|| ConfigRow { config: *config, ..row.clone() })
+    }
+
+    /// Reads every shard file under `dir`, keeping rows already resident
+    /// on a key collision (same key ⇒ same content by construction).
+    /// Unreadable lines are skipped. Returns the number of rows added;
+    /// `dirty` says whether they still need flushing to this store.
+    fn load_dir(&mut self, dir: &Path, dirty: bool) -> io::Result<usize> {
+        let mut added = 0;
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            let Some(name) = shard_kernel_name(&path) else { continue };
+            let text = std::fs::read_to_string(&path)?;
+            self.counters.bytes_read += text.len() as u64;
+            let shard = self.shards.entry(name).or_default();
+            for line in text.lines() {
+                if let Some((key, row)) = parse_line(line) {
+                    if let Entry::Vacant(slot) = shard.rows.entry(key) {
+                        slot.insert(row);
+                        shard.dirty |= dirty;
+                        added += 1;
+                    }
+                }
+            }
+        }
+        Ok(added)
+    }
 }
 
 /// A handle on an on-disk campaign result store (see the module docs).
@@ -140,27 +178,8 @@ impl CampaignCache {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let mut inner = Inner {
-            shards: HashMap::new(),
-            hits: 0,
-            misses: 0,
-            insertions: 0,
-            bytes_read: 0,
-            bytes_written: 0,
-        };
-        for entry in std::fs::read_dir(&dir)? {
-            let path = entry?.path();
-            let Some(name) = shard_kernel_name(&path) else { continue };
-            let text = std::fs::read_to_string(&path)?;
-            inner.bytes_read += text.len() as u64;
-            let mut shard = Shard::default();
-            for line in text.lines() {
-                if let Some((key, row)) = StoredRow::parse_line(line) {
-                    shard.rows.insert(key, row);
-                }
-            }
-            inner.shards.insert(name, shard);
-        }
+        let mut inner = Inner::default();
+        inner.load_dir(&dir, false)?;
         Ok(CampaignCache {
             dir,
             enabled: cache_enabled_by_env(),
@@ -185,6 +204,10 @@ impl CampaignCache {
         self.enabled
     }
 
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("cache lock")
+    }
+
     /// Fetches the stored row for `key`, counting a hit or miss. The
     /// caller's `config` becomes the returned row's configuration (it is
     /// part of the key's preimage); a stored topology mismatch — only
@@ -193,23 +216,13 @@ impl CampaignCache {
         if !self.enabled {
             return None;
         }
-        let mut inner = self.inner.lock().expect("cache lock");
-        let row = inner
-            .shards
-            .get(kernel)
-            .and_then(|s| s.rows.get(&key))
-            .filter(|r| r.topo == config.topology_name())
-            .map(|r| r.to_config_row(*config));
+        let mut inner = self.lock();
+        let row = inner.row(kernel, key, config);
         match row {
-            Some(row) => {
-                inner.hits += 1;
-                Some(row)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
+            Some(_) => inner.counters.hits += 1,
+            None => inner.counters.misses += 1,
         }
+        row
     }
 
     /// [`lookup`](CampaignCache::lookup) without touching the hit/miss
@@ -219,22 +232,12 @@ impl CampaignCache {
         if !self.enabled {
             return None;
         }
-        let inner = self.inner.lock().expect("cache lock");
-        inner
-            .shards
-            .get(kernel)
-            .and_then(|s| s.rows.get(&key))
-            .filter(|r| r.topo == config.topology_name())
-            .map(|r| r.to_config_row(*config))
+        self.lock().row(kernel, key, config)
     }
 
     /// Whether `key` is resident (no counter traffic).
     pub fn contains(&self, kernel: &str, key: u64) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let inner = self.inner.lock().expect("cache lock");
-        inner.shards.get(kernel).is_some_and(|s| s.rows.contains_key(&key))
+        self.enabled && self.lock().shards.get(kernel).is_some_and(|s| s.rows.contains_key(&key))
     }
 
     /// Stores a freshly simulated row. With autoflush on, the kernel's
@@ -245,14 +248,21 @@ impl CampaignCache {
         if !self.enabled {
             return;
         }
-        let mut inner = self.inner.lock().expect("cache lock");
-        let shard = inner.shards.entry(kernel.to_owned()).or_default();
-        shard.rows.insert(key, StoredRow::of_config_row(row));
+        let mut inner = self.lock();
+        let Inner { shards, counters } = &mut *inner;
+        let shard = match shards.get_mut(kernel) {
+            Some(shard) => shard,
+            None => shards.entry(kernel.to_owned()).or_default(),
+        };
+        shard.rows.insert(key, row.clone());
         shard.dirty = true;
-        inner.insertions += 1;
+        counters.insertions += 1;
         if self.autoflush {
-            if let Err(e) = flush_kernel(&self.dir, &mut inner, kernel) {
-                eprintln!("campaign cache: flushing {kernel} shard failed: {e}");
+            let flushed = std::fs::create_dir_all(&self.dir)
+                .and_then(|()| flush_shard(&self.dir, kernel, shard));
+            match flushed {
+                Ok(bytes) => counters.bytes_written += bytes,
+                Err(e) => eprintln!("campaign cache: flushing {kernel} shard failed: {e}"),
             }
         }
     }
@@ -264,26 +274,20 @@ impl CampaignCache {
     /// Propagates the first I/O failure; remaining dirty shards keep
     /// their data in memory and stay flushable.
     pub fn flush(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("cache lock");
-        let kernels: Vec<String> =
-            inner.shards.iter().filter(|(_, s)| s.dirty).map(|(k, _)| k.clone()).collect();
-        for kernel in kernels {
-            flush_kernel(&self.dir, &mut inner, &kernel)?;
+        let mut inner = self.lock();
+        let Inner { shards, counters } = &mut *inner;
+        std::fs::create_dir_all(&self.dir)?;
+        for (kernel, shard) in shards.iter_mut().filter(|(_, s)| s.dirty) {
+            counters.bytes_written += flush_shard(&self.dir, kernel, shard)?;
         }
         Ok(())
     }
 
     /// This handle's transport counters.
     pub fn counters(&self) -> CacheCounters {
-        let inner = self.inner.lock().expect("cache lock");
-        CacheCounters {
-            hits: inner.hits,
-            misses: inner.misses,
-            insertions: inner.insertions,
-            bytes_read: inner.bytes_read,
-            bytes_written: inner.bytes_written,
-            entries: inner.shards.values().map(|s| s.rows.len() as u64).sum(),
-        }
+        let inner = self.lock();
+        let entries = inner.shards.values().map(|s| s.rows.len() as u64).sum();
+        CacheCounters { entries, ..inner.counters }
     }
 
     /// Absorbs every row of the store at `dir` into this handle — the
@@ -302,33 +306,16 @@ impl CampaignCache {
         if !self.enabled {
             return Ok(0);
         }
-        let mut added = 0;
-        let mut inner = self.inner.lock().expect("cache lock");
-        for entry in std::fs::read_dir(dir)? {
-            let path = entry?.path();
-            let Some(name) = shard_kernel_name(&path) else { continue };
-            let text = std::fs::read_to_string(&path)?;
-            inner.bytes_read += text.len() as u64;
-            let shard = inner.shards.entry(name).or_default();
-            for line in text.lines() {
-                if let Some((key, row)) = StoredRow::parse_line(line) {
-                    if let std::collections::btree_map::Entry::Vacant(slot) = shard.rows.entry(key)
-                    {
-                        slot.insert(row);
-                        shard.dirty = true;
-                        added += 1;
-                    }
-                }
-            }
-        }
-        inner.insertions += added as u64;
+        let mut inner = self.lock();
+        let added = inner.load_dir(dir, true)?;
+        inner.counters.insertions += added as u64;
         Ok(added)
     }
 
     /// Resident row count per kernel, sorted by kernel name (store
     /// inspection — the `throughput --cache` summary).
     pub fn entries_by_kernel(&self) -> Vec<(String, usize)> {
-        let inner = self.inner.lock().expect("cache lock");
+        let inner = self.lock();
         let mut out: Vec<(String, usize)> =
             inner.shards.iter().map(|(k, s)| (k.clone(), s.rows.len())).collect();
         out.sort();
@@ -336,198 +323,134 @@ impl CampaignCache {
     }
 }
 
-/// Rewrites one kernel's shard file atomically and clears its dirty bit.
-fn flush_kernel(dir: &Path, inner: &mut Inner, kernel: &str) -> io::Result<()> {
-    let Some(shard) = inner.shards.get_mut(kernel) else { return Ok(()) };
-    let mut text = String::new();
+/// Rewrites one kernel's shard file atomically (the store directory
+/// exists) and clears its dirty bit. Returns the bytes written.
+fn flush_shard(dir: &Path, kernel: &str, shard: &mut Shard) -> io::Result<u64> {
+    let mut text = String::with_capacity(shard.rows.len() * 640);
     for (key, row) in &shard.rows {
-        row.render_line(*key, &mut text);
+        render_line(*key, row, &mut text);
     }
-    atomic_write(&dir.join(format!("{kernel}.jsonl")), &text)?;
+    replace_file(&dir.join(format!("{kernel}.jsonl")), text.as_bytes())?;
     shard.dirty = false;
-    inner.bytes_written += text.len() as u64;
-    Ok(())
+    Ok(text.len() as u64)
 }
 
 /// `<dir>/<kernel>.jsonl` → `kernel` (anything else is not a shard).
 fn shard_kernel_name(path: &Path) -> Option<String> {
-    let name = path.file_name()?.to_str()?;
-    let kernel = name.strip_suffix(".jsonl")?;
-    if kernel.is_empty() {
-        None
-    } else {
-        Some(kernel.to_owned())
-    }
+    let kernel = path.file_name()?.to_str()?.strip_suffix(".jsonl")?;
+    (!kernel.is_empty()).then(|| kernel.to_owned())
 }
 
-/// One stored campaign row: everything a [`ConfigRow`] carries except
-/// the device configuration (which is the lookup key's preimage and is
-/// supplied by the caller on a hit). All counters are raw.
-#[derive(Clone, Debug, PartialEq)]
-struct StoredRow {
-    topo: String,
-    cycles_naive: u64,
-    cycles_fixed: u64,
-    cycles_auto: u64,
-    lws_auto: u32,
-    dram_utilization: f64,
-    mem: MemStats,
-    dispatch: DispatchStats,
-    instructions: u64,
-    port_accesses: u64,
-    port_stall_slots: u64,
+/// Appends one stored row as a JSON line: everything a [`ConfigRow`]
+/// carries, raw, with the topology standing in for the configuration
+/// (which is the key's preimage and is supplied by the caller on a hit).
+/// `dram_utilization` uses Rust's shortest-roundtrip float formatting, so
+/// the parsed value is bit-exact — warm results must be byte-identical
+/// to cold ones.
+fn render_line(key: u64, row: &ConfigRow, out: &mut String) {
+    fn col(out: &mut String, name: &str, v: u64) {
+        out.push_str(", ");
+        push_key(out, name);
+        push_u64(out, v);
+    }
+    out.push_str("{\"key\": \"");
+    push_hex16(out, key);
+    out.push_str("\", \"semver\": ");
+    push_u64(out, u64::from(SEMVER));
+    out.push_str(", \"topo\": \"");
+    out.push_str(&row.config.topology_name());
+    out.push('"');
+    col(out, "cycles_naive", row.cycles_naive);
+    col(out, "cycles_fixed", row.cycles_fixed);
+    col(out, "cycles_auto", row.cycles_auto);
+    col(out, "lws_auto", u64::from(row.lws_auto));
+    out.push_str(", \"dram_utilization\": ");
+    push_f64(out, row.dram_utilization);
+    let (m, d) = (&row.mem, &row.dispatch);
+    col(out, "loads", m.loads);
+    col(out, "stores", m.stores);
+    col(out, "l1_hits", m.l1.hits);
+    col(out, "l1_misses", m.l1.misses);
+    col(out, "l1_evictions", m.l1.evictions);
+    col(out, "l2_hits", m.l2.hits);
+    col(out, "l2_misses", m.l2.misses);
+    col(out, "l2_evictions", m.l2.evictions);
+    col(out, "dram_requests", m.dram_requests);
+    col(out, "launches", d.launches);
+    col(out, "dispatch_rounds", d.rounds);
+    col(out, "round_tasks", d.round_tasks);
+    col(out, "instructions", d.instructions);
+    col(out, "fused_instructions", d.fused_instructions);
+    col(out, "fused_blocks", d.fused_blocks);
+    col(out, "issued_instructions", row.instructions);
+    col(out, "port_accesses", row.port_accesses);
+    col(out, "port_stall_slots", row.port_stall_slots);
+    out.push_str("}\n");
 }
 
-impl StoredRow {
-    fn of_config_row(row: &ConfigRow) -> Self {
-        StoredRow {
-            topo: row.config.topology_name(),
-            cycles_naive: row.cycles_naive,
-            cycles_fixed: row.cycles_fixed,
-            cycles_auto: row.cycles_auto,
-            lws_auto: row.lws_auto,
-            dram_utilization: row.dram_utilization,
-            mem: row.mem,
-            dispatch: row.dispatch,
-            instructions: row.instructions,
-            port_accesses: row.port_accesses,
-            port_stall_slots: row.port_stall_slots,
-        }
-    }
+/// Columns `0..REQUIRED_COLUMNS` of [`parse_line`] must all be present.
+/// The issued-instruction and port counters (the three after them)
+/// post-date the store format; rows written before they existed parse as
+/// zero (the counters were zero-reported then, so merges stay exact).
+const REQUIRED_COLUMNS: u32 = 23;
 
-    fn to_config_row(&self, config: DeviceConfig) -> ConfigRow {
-        ConfigRow {
-            config,
-            cycles_naive: self.cycles_naive,
-            cycles_fixed: self.cycles_fixed,
-            cycles_auto: self.cycles_auto,
-            lws_auto: self.lws_auto,
-            dram_utilization: self.dram_utilization,
-            mem: self.mem,
-            dispatch: self.dispatch,
-            instructions: self.instructions,
-            port_accesses: self.port_accesses,
-            port_stall_slots: self.port_stall_slots,
-        }
+/// Parses one shard line. Returns `None` for anything unusable — a
+/// truncated tail, a foreign semantics version, a missing or malformed
+/// field — so a damaged store degrades to extra simulation, never to an
+/// error or a wrong result.
+fn parse_line(line: &str) -> Option<(u64, ConfigRow)> {
+    if !(line.starts_with('{') && line.ends_with('}')) {
+        return None;
     }
-
-    /// Appends this row as one JSON line. `dram_utilization` uses Rust's
-    /// shortest-roundtrip float formatting, so the parsed value is
-    /// bit-exact — warm results must be byte-identical to cold ones.
-    fn render_line(&self, key: u64, out: &mut String) {
-        use std::fmt::Write;
-        let m = &self.mem;
-        let d = &self.dispatch;
-        writeln!(
-            out,
-            "{{\"key\": \"{key:016x}\", \"semver\": {SEMVER}, \"topo\": \"{}\", \
-             \"cycles_naive\": {}, \"cycles_fixed\": {}, \"cycles_auto\": {}, \
-             \"lws_auto\": {}, \"dram_utilization\": {}, \
-             \"loads\": {}, \"stores\": {}, \
-             \"l1_hits\": {}, \"l1_misses\": {}, \"l1_evictions\": {}, \
-             \"l2_hits\": {}, \"l2_misses\": {}, \"l2_evictions\": {}, \
-             \"dram_requests\": {}, \
-             \"launches\": {}, \"dispatch_rounds\": {}, \"round_tasks\": {}, \
-             \"instructions\": {}, \"fused_instructions\": {}, \"fused_blocks\": {}, \
-             \"issued_instructions\": {}, \
-             \"port_accesses\": {}, \"port_stall_slots\": {}}}",
-            self.topo,
-            self.cycles_naive,
-            self.cycles_fixed,
-            self.cycles_auto,
-            self.lws_auto,
-            self.dram_utilization,
-            m.loads,
-            m.stores,
-            m.l1.hits,
-            m.l1.misses,
-            m.l1.evictions,
-            m.l2.hits,
-            m.l2.misses,
-            m.l2.evictions,
-            m.dram_requests,
-            d.launches,
-            d.rounds,
-            d.round_tasks,
-            d.instructions,
-            d.fused_instructions,
-            d.fused_blocks,
-            self.instructions,
-            self.port_accesses,
-            self.port_stall_slots,
-        )
-        .expect("writing to String cannot fail");
+    /// Parses column number `column` into its slot; returns its bit.
+    fn col<T: std::str::FromStr>(slot: &mut T, v: &str, column: u32) -> Option<u32> {
+        *slot = v.parse().ok()?;
+        Some(1 << column)
     }
-
-    /// Parses one shard line. Returns `None` for anything unusable — a
-    /// truncated tail, a foreign semantics version, a malformed field —
-    /// so a damaged store degrades to extra simulation, never to an
-    /// error or a wrong result.
-    fn parse_line(line: &str) -> Option<(u64, StoredRow)> {
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return None;
-        }
-        fn field<T: std::str::FromStr>(obj: &str, key: &str) -> Option<T> {
-            let pat = format!("\"{key}\": ");
-            let at = obj.find(&pat)?;
-            let rest = &obj[at + pat.len()..];
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            rest[..end].trim().trim_matches('"').parse().ok()
-        }
-        let semver: u32 = field(line, "semver")?;
-        if semver != SEMVER {
-            return None;
-        }
-        let key = u64::from_str_radix(&field::<String>(line, "key")?, 16).ok()?;
-        let mem = MemStats {
-            loads: field(line, "loads")?,
-            stores: field(line, "stores")?,
-            l1: CacheStats {
-                hits: field(line, "l1_hits")?,
-                misses: field(line, "l1_misses")?,
-                evictions: field(line, "l1_evictions")?,
-            },
-            l2: CacheStats {
-                hits: field(line, "l2_hits")?,
-                misses: field(line, "l2_misses")?,
-                evictions: field(line, "l2_evictions")?,
-            },
-            dram_requests: field(line, "dram_requests")?,
+    let (mut key, mut semver, mut row, mut seen) = (0u64, 0u32, ConfigRow::default(), 0u32);
+    for (name, v) in fields(line) {
+        seen |= match name {
+            "key" => {
+                key = u64::from_str_radix(v, 16).ok()?;
+                1 // column 0
+            }
+            "semver" => col(&mut semver, v, 1)?,
+            "topo" => col(&mut row.config, v, 2)?,
+            "cycles_naive" => col(&mut row.cycles_naive, v, 3)?,
+            "cycles_fixed" => col(&mut row.cycles_fixed, v, 4)?,
+            "cycles_auto" => col(&mut row.cycles_auto, v, 5)?,
+            "lws_auto" => col(&mut row.lws_auto, v, 6)?,
+            "dram_utilization" => col(&mut row.dram_utilization, v, 7)?,
+            "loads" => col(&mut row.mem.loads, v, 8)?,
+            "stores" => col(&mut row.mem.stores, v, 9)?,
+            "l1_hits" => col(&mut row.mem.l1.hits, v, 10)?,
+            "l1_misses" => col(&mut row.mem.l1.misses, v, 11)?,
+            "l1_evictions" => col(&mut row.mem.l1.evictions, v, 12)?,
+            "l2_hits" => col(&mut row.mem.l2.hits, v, 13)?,
+            "l2_misses" => col(&mut row.mem.l2.misses, v, 14)?,
+            "l2_evictions" => col(&mut row.mem.l2.evictions, v, 15)?,
+            "dram_requests" => col(&mut row.mem.dram_requests, v, 16)?,
+            "launches" => col(&mut row.dispatch.launches, v, 17)?,
+            "dispatch_rounds" => col(&mut row.dispatch.rounds, v, 18)?,
+            "round_tasks" => col(&mut row.dispatch.round_tasks, v, 19)?,
+            "instructions" => col(&mut row.dispatch.instructions, v, 20)?,
+            "fused_instructions" => col(&mut row.dispatch.fused_instructions, v, 21)?,
+            "fused_blocks" => col(&mut row.dispatch.fused_blocks, v, 22)?,
+            "issued_instructions" => col(&mut row.instructions, v, 23)?,
+            "port_accesses" => col(&mut row.port_accesses, v, 24)?,
+            "port_stall_slots" => col(&mut row.port_stall_slots, v, 25)?,
+            _ => 0,
         };
-        let dispatch = DispatchStats {
-            launches: field(line, "launches")?,
-            rounds: field(line, "dispatch_rounds")?,
-            round_tasks: field(line, "round_tasks")?,
-            instructions: field(line, "instructions")?,
-            fused_instructions: field(line, "fused_instructions")?,
-            fused_blocks: field(line, "fused_blocks")?,
-        };
-        Some((
-            key,
-            StoredRow {
-                topo: field(line, "topo")?,
-                cycles_naive: field(line, "cycles_naive")?,
-                cycles_fixed: field(line, "cycles_fixed")?,
-                cycles_auto: field(line, "cycles_auto")?,
-                lws_auto: field(line, "lws_auto")?,
-                dram_utilization: field(line, "dram_utilization")?,
-                mem,
-                dispatch,
-                // Issued-instruction and port counters post-date the
-                // store format; rows written before they existed parse
-                // as zero (the counters were zero-reported then, so
-                // merges stay exact).
-                instructions: field(line, "issued_instructions").unwrap_or(0),
-                port_accesses: field(line, "port_accesses").unwrap_or(0),
-                port_stall_slots: field(line, "port_stall_slots").unwrap_or(0),
-            },
-        ))
     }
+    let required = (1 << REQUIRED_COLUMNS) - 1;
+    (semver == SEMVER && seen & required == required).then_some((key, row))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vortex_core::DispatchStats;
+    use vortex_sim::{CacheStats, MemStats};
 
     fn sample_row(topo: &str, scale: u64) -> ConfigRow {
         let config: DeviceConfig = topo.parse().unwrap();
@@ -560,6 +483,14 @@ mod tests {
         }
     }
 
+    /// One rendered line, without its line break (what `lines()` yields).
+    fn rendered(key: u64, row: &ConfigRow) -> String {
+        let mut line = String::new();
+        render_line(key, row, &mut line);
+        assert_eq!(line.pop(), Some('\n'));
+        line
+    }
+
     fn temp_store(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("vortex_cache_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -569,26 +500,108 @@ mod tests {
     #[test]
     fn row_roundtrips_bit_exactly_through_a_line() {
         let row = sample_row("4c8w16t", 3);
-        let stored = StoredRow::of_config_row(&row);
-        let mut line = String::new();
-        stored.render_line(0xdead_beef_0123_4567, &mut line);
-        let (key, parsed) = StoredRow::parse_line(line.trim_end()).unwrap();
+        let line = rendered(0xdead_beef_0123_4567, &row);
+        let (key, parsed) = parse_line(&line).unwrap();
         assert_eq!(key, 0xdead_beef_0123_4567);
-        assert_eq!(parsed, stored);
+        assert_eq!(parsed, row);
         // f64 exactness is the load-bearing part: bit-identical, not close.
         assert_eq!(parsed.dram_utilization.to_bits(), row.dram_utilization.to_bits());
     }
 
     #[test]
+    fn every_byte_prefix_of_a_line_is_no_row() {
+        let line = rendered(u64::MAX, &sample_row("256c4w8tx16", 7));
+        for cut in 0..line.len() {
+            assert_eq!(parse_line(&line[..cut]), None, "prefix of {cut} bytes");
+        }
+        assert!(parse_line(&line).is_some());
+    }
+
+    #[test]
+    fn columns_parse_in_any_order_and_unknown_ones_are_skipped() {
+        let row = sample_row("2c4w8t", 5);
+        let line = rendered(77, &row);
+        let body = line.strip_prefix('{').unwrap().strip_suffix('}').unwrap();
+        let mut columns: Vec<&str> = body.split(", ").collect();
+        columns.reverse();
+        columns.insert(9, "\"added_later\": 1.5");
+        columns.push("\"note\": \"loads: 0, stores\"");
+        let shuffled = format!("{{{}}}", columns.join(", "));
+        assert_eq!(parse_line(&shuffled), Some((77, row)));
+    }
+
+    #[test]
+    fn only_the_counters_newer_than_the_format_may_be_absent() {
+        let row = sample_row("2c4w8t", 5);
+        let line = rendered(77, &row);
+        let body = line.strip_prefix('{').unwrap().strip_suffix('}').unwrap();
+        let columns: Vec<&str> = body.split(", ").collect();
+        assert_eq!(columns.len() as u32, REQUIRED_COLUMNS + 3);
+        for drop in 0..columns.len() {
+            let mut kept = columns.clone();
+            let dropped = kept.remove(drop);
+            let parsed = parse_line(&format!("{{{}}}", kept.join(", ")));
+            if (drop as u32) < REQUIRED_COLUMNS {
+                assert_eq!(parsed, None, "a row without {dropped} is no row");
+            } else {
+                assert!(parsed.is_some(), "{dropped} post-dates the format");
+            }
+        }
+        // A row written before the three existed carries them as zero.
+        let old = format!("{{{}}}", columns[..REQUIRED_COLUMNS as usize].join(", "));
+        let (_, parsed) = parse_line(&old).unwrap();
+        let zeroed = ConfigRow { instructions: 0, port_accesses: 0, port_stall_slots: 0, ..row };
+        assert_eq!(parsed, zeroed);
+    }
+
+    #[test]
+    fn a_store_written_by_the_previous_codec_loads_and_rewrites_byte_for_byte() {
+        // `tests/fixtures/store_pr11` was written by the last commit whose
+        // `render_line` was one `writeln!` (speed_probe + tune on four
+        // topologies, one clustered). Only the format is under test, so
+        // the rows are re-stamped with this engine's semantics version.
+        let fixture = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/store_pr11"));
+        let old = temp_store("fixture_old");
+        std::fs::create_dir_all(&old).unwrap();
+        let mut lines = 0;
+        for shard in ["vecadd.jsonl", "gcn_aggr.jsonl"] {
+            let text = std::fs::read_to_string(fixture.join(shard)).unwrap();
+            let text = text.replace("\"semver\": 1,", &format!("\"semver\": {SEMVER},"));
+            lines += text.lines().count();
+            std::fs::write(old.join(shard), text).unwrap();
+        }
+        assert_eq!(lines, 21);
+        let loaded = CampaignCache::open(&old).unwrap();
+        assert_eq!(loaded.counters().entries, 21, "every row of the old store loads");
+        let config: DeviceConfig = "256c4w8tx16".parse().unwrap();
+        let hit = loaded.lookup("gcn_aggr", 0x75e3_4db4_f261_a81d, &config).expect("a fixture row");
+        assert_eq!((hit.cycles_fixed, hit.lws_auto, hit.config), (10905, 1, config));
+        assert_eq!(hit.dram_utilization.to_bits(), 0.3611419068736142f64.to_bits());
+
+        let new = temp_store("fixture_new");
+        let rewritten = CampaignCache::open(&new).unwrap();
+        assert_eq!(rewritten.absorb_dir(&old).unwrap(), 21);
+        rewritten.flush().unwrap();
+        for shard in ["vecadd.jsonl", "gcn_aggr.jsonl"] {
+            assert_eq!(
+                std::fs::read(new.join(shard)).unwrap(),
+                std::fs::read(old.join(shard)).unwrap()
+            );
+        }
+        std::fs::remove_dir_all(&old).unwrap();
+        std::fs::remove_dir_all(&new).unwrap();
+    }
+
+    #[test]
     fn foreign_semver_and_garbage_lines_are_skipped() {
-        let row = sample_row("1c2w2t", 1);
-        let mut line = String::new();
-        StoredRow::of_config_row(&row).render_line(1, &mut line);
+        let line = rendered(1, &sample_row("1c2w2t", 1));
         let foreign = line.replace(&format!("\"semver\": {SEMVER}"), "\"semver\": 999999");
-        assert!(StoredRow::parse_line(foreign.trim_end()).is_none());
-        assert!(StoredRow::parse_line("").is_none());
-        assert!(StoredRow::parse_line("{\"key\": \"0000000000000001\", \"semv").is_none());
-        assert!(StoredRow::parse_line("not json at all").is_none());
+        assert!(parse_line(&foreign).is_none());
+        assert!(parse_line(&line.replace("\"loads\": 11", "\"loads\": eleven")).is_none());
+        assert!(parse_line(&line.replace("1c2w2t", "1c2w")).is_none());
+        assert!(parse_line("").is_none());
+        assert!(parse_line("{\"key\": \"0000000000000001\", \"semv").is_none());
+        assert!(parse_line("not json at all").is_none());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Running kernels across configurations and policies, collecting the
 //! cycle ratios of the paper's Fig. 2.
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use vortex_core::{DispatchStats, LwsPolicy, Runtime};
@@ -95,7 +96,7 @@ pub fn kernel_factories(scale: Scale) -> Vec<KernelFactory> {
 
 /// Measurements of one kernel on one configuration under the three
 /// mapping policies of the paper.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ConfigRow {
     /// The hardware configuration.
     pub config: DeviceConfig,
@@ -223,13 +224,14 @@ impl CampaignResult {
 /// across `jobs` worker threads. Results are returned in sweep order and
 /// every run is verified against the host reference.
 ///
-/// Each worker assembles the kernel program **once** and reuses one
-/// [`Runtime`] (device included) across the three policies of each
-/// configuration via [`Runtime::reset`] — and across consecutive sweep
-/// entries when they are equal (subsampling can repeat a configuration;
-/// the 450-point paper sweep itself has pairwise-distinct topologies, so
-/// there the device is rebuilt once per configuration). Nothing else is
-/// rebuilt on the per-measurement path.
+/// The kernel program is assembled **once** per call and shared; each
+/// worker builds one kernel instance and reuses one [`Runtime`] (device
+/// included) across the three policies of each configuration via
+/// [`Runtime::reset`] — and across consecutive sweep entries when they are
+/// equal (subsampling can repeat a configuration; the 450-point paper
+/// sweep itself has pairwise-distinct topologies, so there the device is
+/// rebuilt once per configuration). Nothing else is rebuilt on the
+/// per-measurement path, and `jobs == 1` runs on the caller's thread.
 ///
 /// # Errors
 ///
@@ -248,6 +250,9 @@ pub fn run_campaign(
 /// raw counters, so downstream merges stay exact) and skip the device
 /// entirely; misses simulate as usual and are appended to the store.
 /// With no cache (or a disabled one) this is exactly [`run_campaign`].
+/// A fully warm call costs one kernel construction and one assembly (for
+/// the program digest in the keys) plus the lookups: no dataset is
+/// generated, no runtime built and, with one job, no thread spawned.
 ///
 /// The caller owns flushing: batch probes flush once per kernel, the
 /// resumable driver puts the cache in autoflush mode instead.
@@ -288,116 +293,118 @@ pub fn run_campaign_cached_traced(
     cache: Option<&crate::cache::CampaignCache>,
     traces: Option<&TraceStore>,
 ) -> Result<CampaignResult, KernelError> {
-    let jobs = jobs.max(1);
-    // One assembly on the caller thread pins the program digest for key
-    // derivation; workers still assemble their own copy for simulation.
-    let pdig: Option<u64> = if cache.is_some() || traces.is_some() {
-        let program = factory.make_kernel().build()?;
-        Some(vortex_core::digest_program(&program))
-    } else {
-        None
-    };
-    let keys: Vec<u64> = match (cache, pdig) {
-        (Some(_), Some(pdig)) => configs
+    // One assembly on the caller thread serves everyone: its digest keys
+    // the stores, and the workers load the program itself. The instance
+    // it came from generated no dataset and is dropped here.
+    let program = factory.make_kernel().build()?;
+    let pdig = vortex_core::digest_program(&program);
+    let keys: Vec<u64> = match cache {
+        Some(_) => configs
             .iter()
             .map(|c| crate::cache::campaign_key_from_digest(factory.name, factory.scale, pdig, c))
             .collect(),
-        _ => Vec::new(),
+        None => Vec::new(),
     };
-    let trace_ctx: Option<TraceCtx> = match (traces, pdig) {
-        (Some(store), Some(pdig)) => Some(TraceCtx {
-            store,
-            kernel: factory.name,
-            scale: factory.scale,
-            program_digest: pdig,
-        }),
-        _ => None,
-    };
-    let records = std::sync::atomic::AtomicU64::new(0);
-    let replays = std::sync::atomic::AtomicU64::new(0);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let rows: Mutex<Vec<Option<ConfigRow>>> = Mutex::new(vec![None; configs.len()]);
-    let failure: Mutex<Option<KernelError>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut kernel = (factory.make)();
-                let program = match kernel.build() {
-                    Ok(p) => p,
-                    Err(e) => {
-                        *failure.lock().expect("failure lock") = Some(e.into());
-                        return;
-                    }
-                };
-                let mut rt: Option<Runtime> = None;
-                let mut memo = TraceMemo::default();
-                loop {
-                    if failure.lock().expect("failure lock").is_some() {
-                        return;
-                    }
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(config) = configs.get(idx) else { return };
-                    // Store first: a hit is a finished, verified row.
-                    if let Some(cache) = cache {
-                        if let Some(row) = cache.lookup(factory.name, keys[idx], config) {
-                            rows.lock().expect("rows lock")[idx] = Some(row);
-                            continue;
-                        }
-                    }
-                    // Reuse the worker's runtime whenever the configuration
-                    // carries over (always true for the three policies,
-                    // sometimes for repeated subsample entries); rebuild
-                    // only when the device shape actually changes.
-                    let rt = match rt {
-                        Some(ref mut r) if r.device().config() == config => r,
-                        _ => {
-                            let mut fresh = Runtime::new(*config);
-                            fresh.load_program(&program);
-                            rt.insert(fresh)
-                        }
-                    };
-                    let measured = measure_config(
-                        kernel.as_mut(),
-                        &program,
-                        rt,
-                        config,
-                        trace_ctx.as_ref(),
-                        &mut memo,
-                        (&records, &replays),
-                    );
-                    match measured {
-                        Ok(row) => {
-                            if let Some(cache) = cache {
-                                cache.insert(factory.name, keys[idx], &row);
-                            }
-                            rows.lock().expect("rows lock")[idx] = Some(row);
-                        }
-                        Err(e) => {
-                            *failure.lock().expect("failure lock") = Some(e);
-                            return;
-                        }
-                    }
-                }
-            });
-        }
+    let trace_ctx = traces.map(|store| TraceCtx {
+        store,
+        kernel: factory.name,
+        scale: factory.scale,
+        program_digest: pdig,
     });
+    let records = AtomicU64::new(0);
+    let replays = AtomicU64::new(0);
 
-    if let Some(e) = failure.into_inner().expect("failure lock") {
-        return Err(e);
-    }
-    let rows = rows
-        .into_inner()
-        .expect("rows lock")
-        .into_iter()
-        .map(|r| r.expect("all configs measured"))
-        .collect();
+    // A store hit touches nothing cold: the worker's kernel instance (and
+    // with it the datasets, at its first `setup`) and runtime exist from
+    // its first miss on.
+    type Worker = (Option<Box<dyn Kernel>>, Option<Runtime>, TraceMemo);
+    let measure = |(kernel, rt, memo): &mut Worker, idx: usize| -> Result<_, KernelError> {
+        let config = &configs[idx];
+        // Store first: a hit is a finished, verified row.
+        if let Some(row) = cache.and_then(|c| c.lookup(factory.name, keys[idx], config)) {
+            return Ok(row);
+        }
+        let kernel = kernel.get_or_insert_with(|| factory.make_kernel());
+        // Reuse the worker's runtime whenever the configuration carries
+        // over (always true for the three policies, sometimes for repeated
+        // subsample entries); rebuild only when the device shape actually
+        // changes.
+        let rt = match rt {
+            Some(r) if r.device().config() == config => r,
+            _ => {
+                let mut fresh = Runtime::new(*config);
+                fresh.load_program(&program);
+                rt.insert(fresh)
+            }
+        };
+        let counters = (&records, &replays);
+        let row = measure_config(
+            kernel.as_mut(),
+            &program,
+            rt,
+            config,
+            trace_ctx.as_ref(),
+            memo,
+            counters,
+        )?;
+        if let Some(cache) = cache {
+            cache.insert(factory.name, keys[idx], &row);
+        }
+        Ok(row)
+    };
+    let rows = fan_out(jobs, configs.len(), Worker::default, measure)?;
     Ok(CampaignResult {
         kernel: factory.name,
         rows,
         trace_records: records.into_inner(),
         trace_replays: replays.into_inner(),
     })
+}
+
+/// Runs `work` on every index in `0..n` across `jobs` workers, each owning
+/// one `init()` state for its lifetime, and returns the results in index
+/// order. One job runs on the caller's thread: no spawn, no second malloc
+/// arena. A failure stops every worker at its next index.
+pub(crate) fn fan_out<W, T: Send, E: Send>(
+    jobs: usize,
+    n: usize,
+    init: impl Fn() -> W + Sync,
+    work: impl Fn(&mut W, usize) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
+    let next = AtomicUsize::new(0);
+    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    let failure: Mutex<Option<E>> = Mutex::new(None);
+    let worker = || {
+        let mut state = init();
+        while failure.lock().expect("failure lock").is_none() {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= n {
+                return;
+            }
+            match work(&mut state, idx) {
+                Ok(out) => results.lock().expect("results lock")[idx] = Some(out),
+                Err(e) => *failure.lock().expect("failure lock") = Some(e),
+            }
+        }
+    };
+    if jobs <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(worker);
+            }
+        });
+    }
+    match failure.into_inner().expect("failure lock") {
+        Some(e) => Err(e),
+        None => Ok(results
+            .into_inner()
+            .expect("results lock")
+            .into_iter()
+            .map(|r| r.expect("every index ran"))
+            .collect()),
+    }
 }
 
 /// Everything a worker needs to derive [`trace_key`]s and talk to the
@@ -454,7 +461,7 @@ fn measure_config(
     config: &DeviceConfig,
     traces: Option<&TraceCtx<'_>>,
     memo: &mut TraceMemo,
-    counters: (&std::sync::atomic::AtomicU64, &std::sync::atomic::AtomicU64),
+    counters: (&AtomicU64, &AtomicU64),
 ) -> Result<ConfigRow, KernelError> {
     let phases = kernel.phases();
     let resolve = |policy: LwsPolicy| -> Vec<u32> {
@@ -484,7 +491,7 @@ fn measure_config(
             // make impossible) degrades to re-recording, never to a
             // wrong row.
             if let Ok(out) = replay_kernel_prepared(kernel, program, rt, policy, rec) {
-                counters.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                counters.1.fetch_add(1, Ordering::Relaxed);
                 t.store.note_replay();
                 return Ok(out);
             }
@@ -494,7 +501,7 @@ fn measure_config(
         // replays, not correctness.
         let _ = t.store.save(key, &rec);
         memo.insert(key, rec);
-        counters.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        counters.0.fetch_add(1, Ordering::Relaxed);
         t.store.note_record();
         Ok(out)
     };

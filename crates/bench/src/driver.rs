@@ -299,22 +299,9 @@ pub fn run_queue(spec: &QueueSpec) -> Result<QueueOutcome, DriverError> {
                 trace_records: 0,
                 trace_replays: 0,
             };
-            let (port_accesses, port_stall_slots) = result.total_ports();
-            rows.push(KernelRow {
-                name: factory.name.to_owned(),
-                configs: result.rows.len(),
-                seconds: kernel_seconds[fi],
-                util: result.mean_dram_utilization(),
-                mem: result.total_mem(),
-                dispatch: result.total_dispatch(),
-                instructions: result.total_instructions(),
-                cache_hits: (configs.len() - kernel_simulated[fi]) as u64,
-                cache_misses: kernel_simulated[fi] as u64,
-                port_accesses,
-                port_stall_slots,
-                trace_records: result.trace_records,
-                trace_replays: result.trace_replays,
-            });
+            let simulated = kernel_simulated[fi] as u64;
+            let hits = configs.len() as u64 - simulated;
+            rows.push(KernelRow::of_campaign(&result, kernel_seconds[fi], hits, simulated));
         }
         let file = ProbeFile {
             configs: configs.len(),
@@ -398,12 +385,10 @@ fn read_manifest_spec(path: &Path) -> Result<u64, DriverError> {
         }
         Err(e) => return Err(DriverError::Io(e)),
     };
-    let header = text.lines().next().unwrap_or("");
-    let spec = header
-        .find("\"spec\": \"")
-        .map(|at| &header[at + 9..])
-        .and_then(|rest| rest.split('"').next())
-        .and_then(|hex| u64::from_str_radix(hex, 16).ok());
+    // The header is the first line.
+    let spec = crate::jsonl::fields(text.lines().next().unwrap_or(""))
+        .find(|(key, _)| *key == "spec")
+        .and_then(|(_, hex)| u64::from_str_radix(hex, 16).ok());
     spec.ok_or_else(|| {
         DriverError::Corrupt(format!("manifest header at {} has no spec digest", path.display()))
     })

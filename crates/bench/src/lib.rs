@@ -18,6 +18,7 @@ pub mod cache;
 pub mod campaign;
 pub mod cli;
 pub mod driver;
+pub mod jsonl;
 pub mod persist;
 pub mod probe;
 pub mod sweep;

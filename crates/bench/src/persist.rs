@@ -22,10 +22,24 @@ use std::path::Path;
 /// Propagates the underlying I/O error (creating, writing, persisting or
 /// renaming the temporary file).
 pub fn atomic_write(path: &Path, content: &str) -> io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    if let Some(dir) = dir {
+    atomic_write_bytes(path, content.as_bytes())
+}
+
+/// [`atomic_write`] for binary artefacts (trace files).
+///
+/// # Errors
+///
+/// Propagates the underlying I/O error.
+pub fn atomic_write_bytes(path: &Path, content: &[u8]) -> io::Result<()> {
+    if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)?;
     }
+    replace_file(path, content)
+}
+
+/// The staging half of [`atomic_write_bytes`], for callers that write
+/// many files into a directory they have already created.
+pub(crate) fn replace_file(path: &Path, content: &[u8]) -> io::Result<()> {
     // Unique per process so concurrent writers (CI shards pointed at a
     // shared directory) cannot clobber each other's staging files.
     let mut tmp = path.as_os_str().to_owned();
@@ -38,26 +52,26 @@ pub fn atomic_write(path: &Path, content: &str) -> io::Result<()> {
     result
 }
 
-/// [`atomic_write`] for binary artefacts (trace files): same unique
-/// sibling staging file, same rename, same cleanup on failure.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn atomic_write_bytes(path: &Path, content: &[u8]) -> io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    if let Some(dir) = dir {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".{}.tmp", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
-    let result = std::fs::write(&tmp, content).and_then(|()| std::fs::rename(&tmp, path));
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
+/// The fields [`strip_run_metadata`] blanks.
+const RUN_METADATA: [&str; 15] = [
+    "seconds",
+    "total_seconds",
+    "cache_hits",
+    "cache_misses",
+    "cache_bytes_read",
+    "cache_bytes_written",
+    "store_hits",
+    "store_misses",
+    "probes_simulated",
+    "probes_cached",
+    "gt_simulated",
+    "gt_cached",
+    "trace_records",
+    "trace_replays",
+    // Derived from wall-clock seconds at render time, so it differs
+    // between cold and warm runs exactly as `seconds` does.
+    "host_ns_per_instr",
+];
 
 /// Blanks the run-specific transport fields of a probe or tune JSON —
 /// wall-clock seconds and store hit/miss/byte counters — leaving only
@@ -66,47 +80,22 @@ pub fn atomic_write_bytes(path: &Path, content: &[u8]) -> io::Result<()> {
 /// split between simulation and cache hits; this is the comparison the
 /// cold→warm CI gates and the resume tests make.
 pub fn strip_run_metadata(json: &str) -> String {
-    let mut out = json.to_owned();
-    for key in [
-        "seconds",
-        "total_seconds",
-        "cache_hits",
-        "cache_misses",
-        "cache_bytes_read",
-        "cache_bytes_written",
-        "store_hits",
-        "store_misses",
-        "probes_simulated",
-        "probes_cached",
-        "gt_simulated",
-        "gt_cached",
-        "trace_records",
-        "trace_replays",
-        // Derived from wall-clock seconds at render time, so it differs
-        // between cold and warm runs exactly as `seconds` does.
-        "host_ns_per_instr",
-    ] {
-        out = blank_numeric_field(&out, key);
+    let mut out = String::with_capacity(json.len());
+    let (mut copied, mut at) = (0, 0);
+    while let Some((key, value)) = crate::jsonl::next_key(json, at) {
+        at = value;
+        if RUN_METADATA.contains(&key) {
+            // `"key": <number>` becomes `"key": 0`.
+            let number = json[value..]
+                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
+                .unwrap_or(json.len() - value);
+            out.push_str(&json[copied..value]);
+            out.push('0');
+            at += number;
+            copied = at;
+        }
     }
-    out
-}
-
-/// Replaces every `"key": <number>` occurrence with `"key": 0`.
-fn blank_numeric_field(text: &str, key: &str) -> String {
-    let pat = format!("\"{key}\": ");
-    let mut out = String::with_capacity(text.len());
-    let mut rest = text;
-    while let Some(at) = rest.find(&pat) {
-        let value_start = at + pat.len();
-        out.push_str(&rest[..value_start]);
-        let tail = &rest[value_start..];
-        let end = tail
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-            .unwrap_or(tail.len());
-        out.push('0');
-        rest = &tail[end..];
-    }
-    out.push_str(rest);
+    out.push_str(&json[copied..]);
     out
 }
 
@@ -148,5 +137,11 @@ mod tests {
         assert!(stripped.contains("\"l1_hits\": 77"), "simulation counters must survive");
         assert!(stripped.contains("\"port_accesses\": 31"), "port counters must survive");
         assert!(stripped.contains("\"configs\": 10"), "config counts must survive");
+        let expected = "{\n  \"total_seconds\": 0,\n  \"cache_bytes_read\": 0,\n  \
+                        \"kernels\": [\n    {\"name\": \"vecadd\", \"configs\": 10, \
+                        \"seconds\": 0, \"cache_hits\": 0, \"cache_misses\": 0, \
+                        \"l1_hits\": 77, \"port_accesses\": 31, \
+                        \"host_ns_per_instr\": 0}\n  ]\n}\n";
+        assert_eq!(stripped, expected, "nothing else may move");
     }
 }

@@ -11,15 +11,18 @@
 //! independent processes merge into exactly the numbers a single-process
 //! run would have produced ([`merge_probe_files`]).
 //!
-//! Everything here is serde-free by standing constraint; the parser is a
-//! by-key scalar extractor over the exact dialect [`render_json`]
-//! writes, with missing newer-generation counters defaulting to zero so
-//! every committed baseline since PR 1 still parses and merges.
+//! Everything here is serde-free by standing constraint; the parser reads
+//! the dialect [`render_json`] writes by key through the crate's one field
+//! scanner ([`crate::jsonl`]), with missing newer-generation counters
+//! defaulting to zero so every committed baseline since PR 1 still parses
+//! and merges.
 
 use vortex_core::DispatchStats;
 use vortex_sim::MemStats;
 
 use crate::cache::CacheCounters;
+use crate::campaign::CampaignResult;
+use crate::jsonl::Object;
 
 /// One kernel row of a probe JSON (also the in-memory accumulator).
 #[derive(Clone, Debug, Default)]
@@ -65,6 +68,27 @@ pub struct KernelRow {
 }
 
 impl KernelRow {
+    /// The row of one kernel's campaign: every raw counter summed over
+    /// `result`'s configurations, plus how the process obtained them.
+    pub fn of_campaign(result: &CampaignResult, seconds: f64, hits: u64, misses: u64) -> Self {
+        let (port_accesses, port_stall_slots) = result.total_ports();
+        KernelRow {
+            name: result.kernel.to_owned(),
+            configs: result.rows.len(),
+            seconds,
+            util: result.mean_dram_utilization(),
+            mem: result.total_mem(),
+            dispatch: result.total_dispatch(),
+            instructions: result.total_instructions(),
+            cache_hits: hits,
+            cache_misses: misses,
+            port_accesses,
+            port_stall_slots,
+            trace_records: result.trace_records,
+            trace_replays: result.trace_replays,
+        }
+    }
+
     /// Host nanoseconds spent per simulated instruction — the simulator
     /// cost metric the big-topology scaling work tracks. Derived from the
     /// raw `seconds` and instruction counters at display/render time, so
@@ -178,30 +202,17 @@ pub fn render_json(file: &ProbeFile) -> String {
 ///
 /// A message naming the first missing or unparsable required field.
 pub fn parse_probe_json(text: &str) -> Result<ProbeFile, String> {
-    fn field<T: std::str::FromStr>(obj: &str, key: &str) -> Result<T, String> {
-        let pat = format!("\"{key}\":");
-        let at = obj.find(&pat).ok_or_else(|| format!("missing key {key}"))?;
-        let rest = obj[at + pat.len()..].trim_start();
-        let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-        rest[..end]
-            .trim()
-            .trim_matches('"')
-            .parse()
-            .map_err(|_| format!("unparsable value for {key}"))
-    }
-    fn counter(obj: &str, key: &str) -> u64 {
-        field(obj, key).unwrap_or(0)
-    }
+    let counter = |obj: &Object<'_>, key: &str| obj.get::<u64>(key).unwrap_or(0);
 
     let kernels_at = text.find("\"kernels\"").ok_or("missing kernels array")?;
-    let head = &text[..kernels_at];
+    let head = Object::scan(&text[..kernels_at]);
     let mut file = ProbeFile {
-        configs: field(head, "configs")?,
-        jobs: field(head, "jobs")?,
-        total_seconds: field(head, "total_seconds")?,
-        shard: field::<String>(head, "shard").ok().and_then(|s| crate::parse_shard(&s)),
-        cache_bytes_read: counter(head, "cache_bytes_read"),
-        cache_bytes_written: counter(head, "cache_bytes_written"),
+        configs: head.get("configs")?,
+        jobs: head.get("jobs")?,
+        total_seconds: head.get("total_seconds")?,
+        shard: head.get::<String>("shard").ok().and_then(|s| crate::parse_shard(&s)),
+        cache_bytes_read: counter(&head, "cache_bytes_read"),
+        cache_bytes_written: counter(&head, "cache_bytes_written"),
         rows: Vec::new(),
     };
     for obj in text[kernels_at..].split('{').skip(1) {
@@ -209,6 +220,7 @@ pub fn parse_probe_json(text: &str) -> Result<ProbeFile, String> {
         if !obj.contains("\"name\"") {
             continue;
         }
+        let obj = &Object::scan(obj);
         let mut mem = MemStats::default();
         mem.l1.hits = counter(obj, "l1_hits");
         mem.l1.misses = counter(obj, "l1_misses");
@@ -224,10 +236,10 @@ pub fn parse_probe_json(text: &str) -> Result<ProbeFile, String> {
             fused_blocks: counter(obj, "fused_blocks"),
         };
         file.rows.push(KernelRow {
-            name: field(obj, "name")?,
-            configs: field(obj, "configs")?,
-            seconds: field(obj, "seconds")?,
-            util: field(obj, "mean_dram_utilization")?,
+            name: obj.get("name")?,
+            configs: obj.get("configs")?,
+            seconds: obj.get("seconds")?,
+            util: obj.get("mean_dram_utilization")?,
             mem,
             dispatch,
             instructions: counter(obj, "issued_instructions"),

@@ -33,6 +33,7 @@ use vortex_sim::DeviceConfig;
 
 use crate::cache::CampaignCache;
 use crate::campaign::{ConfigRow, KernelFactory, Scale};
+use crate::jsonl::Object;
 
 /// The probe budgets the committed artefact evaluates
 /// (`TUNE_PR8.json`'s accuracy curves).
@@ -338,39 +339,18 @@ pub fn run_tune_evaluation(
     let units: Vec<(usize, usize)> =
         (0..factories.len()).flat_map(|f| (0..topologies.len()).map(move |t| (f, t))).collect();
     let jobs = jobs.max(1);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: std::sync::Mutex<Vec<Option<Vec<TuneRow>>>> =
-        std::sync::Mutex::new(vec![None; units.len()]);
-    let failure: std::sync::Mutex<Option<KernelError>> = std::sync::Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(units.len().max(1)) {
-            scope.spawn(|| loop {
-                if failure.lock().expect("failure lock").is_some() {
-                    return;
-                }
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&(f, t)) = units.get(idx) else { return };
-                match evaluate_tune(&factories[f], &topologies[t], budgets, cache) {
-                    Ok(rows) => results.lock().expect("results lock")[idx] = Some(rows),
-                    Err(e) => {
-                        *failure.lock().expect("failure lock") = Some(e);
-                        return;
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = failure.into_inner().expect("failure lock") {
-        return Err(e);
-    }
-    let rows = results
-        .into_inner()
-        .expect("results lock")
-        .into_iter()
-        .flat_map(|r| r.expect("all units evaluated"))
-        .collect();
+    let rows = crate::campaign::fan_out(
+        jobs.min(units.len()),
+        units.len(),
+        || (),
+        |(), idx| {
+            let (f, t) = units[idx];
+            evaluate_tune(&factories[f], &topologies[t], budgets, cache)
+        },
+    )?
+    .into_iter()
+    .flatten()
+    .collect();
     let after = cache.map(|c| c.counters()).unwrap_or_default();
     Ok(TuneFile {
         jobs,
@@ -436,24 +416,13 @@ pub fn render_tune_json(file: &TuneFile) -> String {
 ///
 /// A message naming the first missing or unparsable required field.
 pub fn parse_tune_json(text: &str) -> Result<TuneFile, String> {
-    fn field<T: std::str::FromStr>(obj: &str, key: &str) -> Result<T, String> {
-        let pat = format!("\"{key}\":");
-        let at = obj.find(&pat).ok_or_else(|| format!("missing key {key}"))?;
-        let rest = obj[at + pat.len()..].trim_start();
-        let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-        rest[..end]
-            .trim()
-            .trim_matches('"')
-            .parse()
-            .map_err(|_| format!("unparsable value for {key}"))
-    }
     let rows_at = text.find("\"rows\"").ok_or("missing rows array")?;
-    let head = &text[..rows_at];
+    let head = Object::scan(&text[..rows_at]);
     let mut file = TuneFile {
-        jobs: field(head, "jobs")?,
-        total_seconds: field(head, "total_seconds")?,
-        store_hits: field(head, "store_hits")?,
-        store_misses: field(head, "store_misses")?,
+        jobs: head.get("jobs")?,
+        total_seconds: head.get("total_seconds")?,
+        store_hits: head.get("store_hits")?,
+        store_misses: head.get("store_misses")?,
         rows: Vec::new(),
     };
     for obj in text[rows_at..].split('{').skip(1) {
@@ -461,26 +430,27 @@ pub fn parse_tune_json(text: &str) -> Result<TuneFile, String> {
         if !obj.contains("\"kernel\"") {
             continue;
         }
+        let obj = Object::scan(obj);
         file.rows.push(TuneRow {
-            kernel: field(obj, "kernel")?,
-            topo: field(obj, "topo")?,
-            gws: field(obj, "gws")?,
-            budget: field(obj, "budget")?,
-            candidates: field(obj, "candidates")?,
-            probes: field(obj, "probes")?,
-            chosen_lws: field(obj, "chosen_lws")?,
-            chosen_cycles: field(obj, "chosen_cycles")?,
-            oracle_lws: field(obj, "oracle_lws")?,
-            oracle_cycles: field(obj, "oracle_cycles")?,
-            eq1_lws: field(obj, "eq1_lws")?,
-            eq1_cycles: field(obj, "eq1_cycles")?,
-            probes_simulated: field(obj, "probes_simulated")?,
-            probes_cached: field(obj, "probes_cached")?,
-            gt_simulated: field(obj, "gt_simulated")?,
-            gt_cached: field(obj, "gt_cached")?,
-            pred_abs_err_sum: field(obj, "pred_abs_err_sum")?,
-            pred_truth_sum: field(obj, "pred_truth_sum")?,
-            unprobed: field(obj, "unprobed")?,
+            kernel: obj.get("kernel")?,
+            topo: obj.get("topo")?,
+            gws: obj.get("gws")?,
+            budget: obj.get("budget")?,
+            candidates: obj.get("candidates")?,
+            probes: obj.get("probes")?,
+            chosen_lws: obj.get("chosen_lws")?,
+            chosen_cycles: obj.get("chosen_cycles")?,
+            oracle_lws: obj.get("oracle_lws")?,
+            oracle_cycles: obj.get("oracle_cycles")?,
+            eq1_lws: obj.get("eq1_lws")?,
+            eq1_cycles: obj.get("eq1_cycles")?,
+            probes_simulated: obj.get("probes_simulated")?,
+            probes_cached: obj.get("probes_cached")?,
+            gt_simulated: obj.get("gt_simulated")?,
+            gt_cached: obj.get("gt_cached")?,
+            pred_abs_err_sum: obj.get("pred_abs_err_sum")?,
+            pred_truth_sum: obj.get("pred_truth_sum")?,
+            unprobed: obj.get("unprobed")?,
         });
     }
     Ok(file)

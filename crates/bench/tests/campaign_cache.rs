@@ -4,12 +4,16 @@
 //! (a warm run simulates nothing and reports identical bytes), exact
 //! delta simulation, and budget-kill → resume reassembly.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use vortex_bench::driver::{run_queue, QueueSpec};
 use vortex_bench::probe::{render_json, KernelRow, ProbeFile};
 use vortex_bench::{
     kernel_factories, parse_probe_json, run_campaign, run_campaign_cached, strip_run_metadata,
     CampaignCache, CampaignResult, KernelFactory, Scale,
 };
+use vortex_kernels::{Kernel, PhaseSpec, VecAdd, VerifyError};
 use vortex_sim::DeviceConfig;
 
 fn tiny_grid() -> Vec<DeviceConfig> {
@@ -28,8 +32,7 @@ fn tmp(tag: &str) -> std::path::PathBuf {
 
 /// Renders a campaign result the way `speed_probe --json` does, with the
 /// run-specific fields already zeroed (what the CI gate diffs).
-fn probe_json(factory: &KernelFactory, result: &CampaignResult, hits: u64, misses: u64) -> String {
-    let (port_accesses, port_stall_slots) = result.total_ports();
+fn probe_json(result: &CampaignResult, hits: u64, misses: u64) -> String {
     let file = ProbeFile {
         configs: result.rows.len(),
         jobs: 2,
@@ -37,23 +40,79 @@ fn probe_json(factory: &KernelFactory, result: &CampaignResult, hits: u64, misse
         shard: None,
         cache_bytes_read: 0,
         cache_bytes_written: 0,
-        rows: vec![KernelRow {
-            name: factory.name.to_owned(),
-            configs: result.rows.len(),
-            seconds: 0.0,
-            util: result.mean_dram_utilization(),
-            mem: result.total_mem(),
-            dispatch: result.total_dispatch(),
-            instructions: result.total_instructions(),
-            cache_hits: hits,
-            cache_misses: misses,
-            port_accesses,
-            port_stall_slots,
-            trace_records: result.trace_records,
-            trace_replays: result.trace_replays,
-        }],
+        rows: vec![KernelRow::of_campaign(result, 0.0, hits, misses)],
     };
     strip_run_metadata(&render_json(&file))
+}
+
+/// A `VecAdd` that reports, when it is dropped, whether its inputs were
+/// ever generated.
+struct SpiedVecAdd {
+    inner: VecAdd,
+    generated: Arc<AtomicUsize>,
+}
+
+impl Drop for SpiedVecAdd {
+    fn drop(&mut self) {
+        self.generated.fetch_add(usize::from(self.inner.inputs_generated()), Ordering::Relaxed);
+    }
+}
+
+impl Kernel for SpiedVecAdd {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn build(&self) -> Result<vortex_asm::Program, vortex_asm::AsmError> {
+        self.inner.build()
+    }
+    fn phases(&self) -> Vec<PhaseSpec> {
+        self.inner.phases()
+    }
+    fn setup(&mut self, rt: &mut vortex_core::Runtime) -> Result<(), vortex_core::LaunchError> {
+        self.inner.setup(rt)
+    }
+    fn verify(&self, rt: &vortex_core::Runtime) -> Result<(), VerifyError> {
+        self.inner.verify(rt)
+    }
+}
+
+#[test]
+fn warm_call_builds_one_kernel_and_generates_no_dataset() {
+    let dir = tmp("warm_cost");
+    let grid = tiny_grid();
+    let (made, generated) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let factory = KernelFactory {
+        name: "vecadd",
+        scale: Scale::Sweep,
+        make: Box::new({
+            let (made, generated) = (made.clone(), generated.clone());
+            move || {
+                made.fetch_add(1, Ordering::Relaxed);
+                Box::new(SpiedVecAdd { inner: VecAdd::paper(), generated: generated.clone() })
+            }
+        }),
+    };
+    let counts = || (made.swap(0, Ordering::Relaxed), generated.swap(0, Ordering::Relaxed));
+
+    let cache = CampaignCache::open(&dir).unwrap();
+    let cold = run_campaign_cached(&factory, &grid, 1, Some(&cache)).unwrap();
+    assert_eq!(counts(), (2, 1), "cold: one instance for the digest, one that simulates");
+    cache.flush().unwrap();
+
+    for jobs in [1, 3] {
+        let warm_cache = CampaignCache::open(&dir).unwrap();
+        let warm = run_campaign_cached(&factory, &grid, jobs, Some(&warm_cache)).unwrap();
+        assert_eq!(counts(), (1, 0), "warm, {jobs} jobs: the digest instance only, no dataset");
+        assert_eq!(warm.rows, cold.rows);
+        assert_eq!(warm_cache.counters().misses, 0);
+    }
+
+    // One new configuration: only the worker that misses builds a kernel.
+    let mut wider = grid.clone();
+    wider.push(DeviceConfig::with_topology(2, 4, 4));
+    run_campaign_cached(&factory, &wider, 3, Some(&cache)).unwrap();
+    assert_eq!(counts(), (2, 1), "delta: the digest instance and the one missing worker");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -79,8 +138,8 @@ fn warm_rerun_simulates_zero_configs_with_identical_report() {
 
     // Byte-identical probe reports once run metadata is stripped.
     assert_eq!(
-        probe_json(vecadd, &cold, 0, after_cold.misses),
-        probe_json(vecadd, &warm, after_warm.hits, 0),
+        probe_json(&cold, 0, after_cold.misses),
+        probe_json(&warm, after_warm.hits, 0),
         "warm report must be byte-identical to the cold one"
     );
     // And the uncached baseline agrees row for row.

@@ -1,6 +1,13 @@
 //! Seeded synthetic datasets standing in for the paper's external data
 //! (Rodinia's hurricane records, the cora citation graph, CIFAR-10
 //! activations). Shapes match the originals; contents are deterministic.
+//!
+//! Kernels hold their inputs as [`LazyUniform`]/[`LazyGraph`]: the values
+//! are generated on first use (the first `setup` or `reference`), so
+//! constructing a kernel and assembling its program touch no dataset.
+
+use std::cell::OnceCell;
+use std::ops::Deref;
 
 use vortex_rng::Rng;
 
@@ -16,6 +23,47 @@ use vortex_rng::Rng;
 pub fn uniform_f32(seed: u64, n: usize, lo: f32, hi: f32) -> Vec<f32> {
     let mut rng = Rng::seed_from_u64(seed);
     (0..n).map(|_| rng.gen_range_f32(lo, hi)).collect()
+}
+
+/// [`uniform_f32`] values generated on first use; dereferences to the
+/// slice.
+///
+/// # Examples
+///
+/// ```
+/// use vortex_kernels::data::{uniform_f32, LazyUniform};
+/// let xs = LazyUniform::new(42, 8, -1.0, 1.0);
+/// assert!(!xs.is_generated());
+/// assert_eq!(xs[..], uniform_f32(42, 8, -1.0, 1.0)[..]);
+/// assert!(xs.is_generated());
+/// ```
+#[derive(Clone, Debug)]
+pub struct LazyUniform {
+    seed: u64,
+    n: usize,
+    lo: f32,
+    hi: f32,
+    values: OnceCell<Vec<f32>>,
+}
+
+impl LazyUniform {
+    /// `n` values in `[lo, hi)` from `seed`, not generated yet.
+    pub fn new(seed: u64, n: usize, lo: f32, hi: f32) -> Self {
+        LazyUniform { seed, n, lo, hi, values: OnceCell::new() }
+    }
+
+    /// Whether the values have been generated.
+    pub fn is_generated(&self) -> bool {
+        self.values.get().is_some()
+    }
+}
+
+impl Deref for LazyUniform {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        self.values.get_or_init(|| uniform_f32(self.seed, self.n, self.lo, self.hi))
+    }
 }
 
 /// A sparse directed graph in CSR form.
@@ -106,6 +154,42 @@ pub fn power_law_graph(seed: u64, nodes: usize, target_edges: usize) -> CsrGraph
     CsrGraph { row, col }
 }
 
+/// A [`power_law_graph`] generated on first use; dereferences to the
+/// [`CsrGraph`].
+#[derive(Clone, Debug)]
+pub struct LazyGraph {
+    seed: u64,
+    nodes: usize,
+    target_edges: usize,
+    graph: OnceCell<CsrGraph>,
+}
+
+impl LazyGraph {
+    /// A graph of `nodes` nodes and roughly `target_edges` edges from
+    /// `seed`, not generated yet.
+    pub fn new(seed: u64, nodes: usize, target_edges: usize) -> Self {
+        LazyGraph { seed, nodes, target_edges, graph: OnceCell::new() }
+    }
+
+    /// Number of nodes (known without generating the graph).
+    pub fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    /// Whether the graph has been generated.
+    pub fn is_generated(&self) -> bool {
+        self.graph.get().is_some()
+    }
+}
+
+impl Deref for LazyGraph {
+    type Target = CsrGraph;
+
+    fn deref(&self) -> &CsrGraph {
+        self.graph.get_or_init(|| power_law_graph(self.seed, self.nodes, self.target_edges))
+    }
+}
+
 /// The standard seeds used by the kernel constructors, so every workload
 /// is reproducible end to end.
 pub mod seeds {
@@ -141,6 +225,20 @@ mod tests {
         assert!(a.iter().all(|&x| (-2.0..3.0).contains(&x)));
         let c = uniform_f32(2, 1000, -2.0, 3.0);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn lazy_inputs_equal_the_eager_ones_element_for_element() {
+        let lazy = LazyUniform::new(seeds::KNN, 8_192, 7.0, 65.0);
+        assert!(!lazy.is_generated());
+        assert_eq!(lazy.to_vec(), uniform_f32(seeds::KNN, 8_192, 7.0, 65.0));
+        assert!(lazy.is_generated());
+
+        let lazy = LazyGraph::new(seeds::GCN, 512, 2048);
+        assert_eq!(lazy.nodes(), 512);
+        assert!(!lazy.is_generated(), "the node count is a parameter, not a result");
+        assert_eq!(*lazy, power_law_graph(seeds::GCN, 512, 2048));
+        assert_eq!(lazy.nodes(), CsrGraph::nodes(&lazy));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! `gauss`: 3×3 Gaussian blur over a 2-D image (memory bound in Fig. 2).
 
+use std::cell::OnceCell;
+
 use vortex_asm::Program;
 use vortex_core::{Buffer, LaunchError, Runtime};
 use vortex_isa::{fregs, reg};
 
-use crate::data::{self, seeds};
+use crate::data::{seeds, LazyUniform};
 use crate::error::{check_f32, VerifyError};
 use crate::harness::{build_single, BodyCtx};
 use crate::kernel::{Kernel, PhaseSpec};
@@ -25,8 +27,9 @@ const WEIGHTS: [f32; 9] = [
 pub struct Gauss {
     width: u32,
     height: u32,
-    image: Vec<f32>,
+    image: LazyUniform,
     out: Option<Buffer>,
+    reference: OnceCell<Vec<f32>>,
 }
 
 impl Gauss {
@@ -35,8 +38,9 @@ impl Gauss {
         Gauss {
             width,
             height,
-            image: data::uniform_f32(seeds::GAUSS, (width * height) as usize, 0.0, 1.0),
+            image: LazyUniform::new(seeds::GAUSS, (width * height) as usize, 0.0, 1.0),
             out: None,
+            reference: OnceCell::new(),
         }
     }
 
@@ -63,7 +67,11 @@ impl Gauss {
     }
 
     /// The host reference result (same FMA order as the device).
-    pub fn reference(&self) -> Vec<f32> {
+    pub fn reference(&self) -> &[f32] {
+        self.reference.get_or_init(|| self.compute_reference())
+    }
+
+    fn compute_reference(&self) -> Vec<f32> {
         let (w, h) = (self.width as usize, self.height as usize);
         let wp = w + 2;
         let pad = self.padded();
@@ -137,7 +145,7 @@ impl Kernel for Gauss {
 
     fn verify(&self, rt: &Runtime) -> Result<(), VerifyError> {
         let out = self.out.expect("setup ran before verify");
-        check_f32("gauss", &self.reference(), &rt.read_f32(out))
+        check_f32("gauss", self.reference(), &rt.read_f32(out))
     }
 }
 

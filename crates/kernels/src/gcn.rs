@@ -12,7 +12,7 @@ use vortex_asm::{Assembler, Program};
 use vortex_core::{Buffer, LaunchError, Runtime};
 use vortex_isa::{fregs, reg};
 
-use crate::data::{self, seeds, CsrGraph};
+use crate::data::{seeds, CsrGraph, LazyGraph, LazyUniform};
 use crate::error::{check_f32, VerifyError};
 use crate::harness::{build_single, emit_kernel, BodyCtx};
 use crate::kernel::{Kernel, PhaseSpec};
@@ -85,9 +85,9 @@ fn reference_aggr(graph: &CsrGraph, feat: &[f32], hs: usize) -> Vec<f32> {
 /// Arguments: `[row_ptr, col_ptr, feat_ptr, out_ptr, hs]`.
 #[derive(Clone, Debug)]
 pub struct GcnAggr {
-    graph: CsrGraph,
+    graph: LazyGraph,
     hs: u32,
-    feat: Vec<f32>,
+    feat: LazyUniform,
     out: Option<Buffer>,
     /// Host reference output, computed once per kernel instance — the
     /// inputs are fixed, but `verify` runs once per measurement, and a
@@ -98,8 +98,8 @@ pub struct GcnAggr {
 impl GcnAggr {
     /// Aggregation over a seeded power-law graph.
     pub fn new(nodes: usize, edges: usize, hs: u32) -> Self {
-        let graph = data::power_law_graph(seeds::GCN, nodes, edges);
-        let feat = data::uniform_f32(seeds::GCN + 1, nodes * hs as usize, -1.0, 1.0);
+        let graph = LazyGraph::new(seeds::GCN, nodes, edges);
+        let feat = LazyUniform::new(seeds::GCN + 1, nodes * hs as usize, -1.0, 1.0);
         GcnAggr { graph, hs, feat, out: None, reference: OnceCell::new() }
     }
 
@@ -155,10 +155,10 @@ impl Kernel for GcnAggr {
 /// (`[agg, w, out, hs, hs]`).
 #[derive(Clone, Debug)]
 pub struct GcnLayer {
-    graph: CsrGraph,
+    graph: LazyGraph,
     hs: u32,
-    feat: Vec<f32>,
-    weights: Vec<f32>,
+    feat: LazyUniform,
+    weights: LazyUniform,
     agg: Option<Buffer>,
     out: Option<Buffer>,
     /// Cached host references (see [`GcnAggr::reference`]); the layer
@@ -171,9 +171,9 @@ pub struct GcnLayer {
 impl GcnLayer {
     /// A layer over a seeded power-law graph (square weight matrix).
     pub fn new(nodes: usize, edges: usize, hs: u32) -> Self {
-        let graph = data::power_law_graph(seeds::GCN, nodes, edges);
-        let feat = data::uniform_f32(seeds::GCN + 1, nodes * hs as usize, -1.0, 1.0);
-        let weights = data::uniform_f32(seeds::GCN + 2, (hs * hs) as usize, -0.5, 0.5);
+        let graph = LazyGraph::new(seeds::GCN, nodes, edges);
+        let feat = LazyUniform::new(seeds::GCN + 1, nodes * hs as usize, -1.0, 1.0);
+        let weights = LazyUniform::new(seeds::GCN + 2, (hs * hs) as usize, -0.5, 0.5);
         GcnLayer {
             graph,
             hs,
@@ -277,6 +277,16 @@ mod tests {
             run_kernel(&mut k, &DeviceConfig::with_topology(2, 2, 4), policy)
                 .unwrap_or_else(|e| panic!("{policy}: {e}"));
         }
+    }
+
+    #[test]
+    fn assembling_and_sizing_generate_no_graph() {
+        let k = GcnLayer::new(32, 128, 4);
+        k.build().unwrap();
+        assert_eq!(k.phases()[0].gws, 32 * 4);
+        assert!(!k.graph.is_generated() && !k.feat.is_generated() && !k.weights.is_generated());
+        k.reference();
+        assert!(k.graph.is_generated() && k.feat.is_generated() && k.weights.is_generated());
     }
 
     #[test]

@@ -27,7 +27,10 @@ impl PhaseSpec {
 ///
 /// Implementations own their (seeded, deterministic) input data, so the
 /// same kernel value can be re-run across many device configurations and
-/// mapping policies with identical work.
+/// mapping policies with identical work. The data is generated at the
+/// first [`setup`](Kernel::setup) (and the host reference at the first
+/// [`verify`](Kernel::verify)), not by the constructor: building a kernel
+/// and assembling its program cost no dataset.
 pub trait Kernel {
     /// Short name used in reports (matches the paper's figure labels).
     fn name(&self) -> &'static str;

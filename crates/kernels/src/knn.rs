@@ -1,11 +1,13 @@
 //! `knn`: nearest-neighbour distance computation (Rodinia `nn`-style,
 //! memory bound in Fig. 2).
 
+use std::cell::OnceCell;
+
 use vortex_asm::Program;
 use vortex_core::{Buffer, LaunchError, Runtime};
 use vortex_isa::{fregs, reg};
 
-use crate::data::{self, seeds};
+use crate::data::{seeds, LazyUniform};
 use crate::error::{check_f32, VerifyError};
 use crate::harness::{build_single, BodyCtx};
 use crate::kernel::{Kernel, PhaseSpec};
@@ -17,10 +19,11 @@ use crate::kernel::{Kernel, PhaseSpec};
 #[derive(Clone, Debug)]
 pub struct Knn {
     n: u32,
-    lat: Vec<f32>,
-    lng: Vec<f32>,
+    lat: LazyUniform,
+    lng: LazyUniform,
     query: (f32, f32),
     out: Option<Buffer>,
+    reference: OnceCell<Vec<f32>>,
 }
 
 impl Knn {
@@ -28,10 +31,11 @@ impl Knn {
     pub fn new(n: u32) -> Self {
         Knn {
             n,
-            lat: data::uniform_f32(seeds::KNN, n as usize, 7.0, 65.0),
-            lng: data::uniform_f32(seeds::KNN + 1, n as usize, -110.0, 10.0),
+            lat: LazyUniform::new(seeds::KNN, n as usize, 7.0, 65.0),
+            lng: LazyUniform::new(seeds::KNN + 1, n as usize, -110.0, 10.0),
             query: (30.0, -60.0),
             out: None,
+            reference: OnceCell::new(),
         }
     }
 
@@ -45,24 +49,26 @@ impl Knn {
         Knn::new(8_192)
     }
 
-    /// The host reference distances.
-    pub fn reference(&self) -> Vec<f32> {
+    /// The host reference distances (computed once).
+    pub fn reference(&self) -> &[f32] {
         let (qlat, qlng) = self.query;
-        self.lat
-            .iter()
-            .zip(&self.lng)
-            .map(|(&la, &lo)| {
-                let dla = la - qlat;
-                let dlo = lo - qlng;
-                (dlo.mul_add(dlo, dla * dla)).sqrt()
-            })
-            .collect()
+        self.reference.get_or_init(|| {
+            self.lat
+                .iter()
+                .zip(self.lng.iter())
+                .map(|(&la, &lo)| {
+                    let dla = la - qlat;
+                    let dlo = lo - qlng;
+                    (dlo.mul_add(dlo, dla * dla)).sqrt()
+                })
+                .collect()
+        })
     }
 
     /// Index of the nearest record according to the reference.
     pub fn reference_nearest(&self) -> usize {
-        let d = self.reference();
-        d.iter()
+        self.reference()
+            .iter()
             .enumerate()
             .min_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
@@ -123,7 +129,7 @@ impl Kernel for Knn {
     fn verify(&self, rt: &Runtime) -> Result<(), VerifyError> {
         let out = self.out.expect("setup ran before verify");
         let actual = rt.read_f32(out);
-        check_f32("knn", &self.reference(), &actual)?;
+        check_f32("knn", self.reference(), &actual)?;
         // The end-to-end answer (nearest index) must agree as well.
         let device_nearest = actual
             .iter()

@@ -12,11 +12,13 @@
 //! occupancy, a dispatch regime (tiny `gws`, many rounds of overhead)
 //! none of the dense workloads exercise.
 
+use std::cell::OnceCell;
+
 use vortex_asm::{Assembler, Program};
 use vortex_core::{abi, Buffer, LaunchError, Runtime};
 use vortex_isa::{fregs, reg};
 
-use crate::data::{self, seeds};
+use crate::data::{seeds, LazyUniform};
 use crate::error::{check_f32, VerifyError};
 use crate::harness::emit_kernel;
 use crate::kernel::{Kernel, PhaseSpec};
@@ -41,15 +43,21 @@ fn levels(n: u32) -> Vec<(u32, u32)> {
 #[derive(Clone, Debug)]
 pub struct Reduce {
     n: u32,
-    data: Vec<f32>,
+    data: LazyUniform,
     out: Option<Buffer>,
+    reference: OnceCell<Vec<f32>>,
 }
 
 impl Reduce {
     /// A tree reduction over `n` elements (`n ≥ 2`) with seeded inputs.
     pub fn new(n: u32) -> Self {
         assert!(n >= 2, "reduction needs at least two elements");
-        Reduce { n, data: data::uniform_f32(seeds::REDUCE, n as usize, -1.0, 1.0), out: None }
+        Reduce {
+            n,
+            data: LazyUniform::new(seeds::REDUCE, n as usize, -1.0, 1.0),
+            out: None,
+            reference: OnceCell::new(),
+        }
     }
 
     /// The paper-set size (len 4096, 12 tree levels).
@@ -59,16 +67,18 @@ impl Reduce {
 
     /// The host reference: the *same* f32 fold tree the device executes
     /// (element order matters — a linear sum would drift). Returns the
-    /// full final array state, partial sums included.
-    pub fn reference(&self) -> Vec<f32> {
-        let mut v = self.data.clone();
-        for (len, s) in levels(self.n) {
-            let (len, s) = (len as usize, s as usize);
-            for i in 0..len - s {
-                v[i] += v[i + s];
+    /// full final array state, partial sums included (computed once).
+    pub fn reference(&self) -> &[f32] {
+        self.reference.get_or_init(|| {
+            let mut v = self.data.to_vec();
+            for (len, s) in levels(self.n) {
+                let (len, s) = (len as usize, s as usize);
+                for i in 0..len - s {
+                    v[i] += v[i + s];
+                }
             }
-        }
-        v
+            v
+        })
     }
 }
 
@@ -116,7 +126,7 @@ impl Kernel for Reduce {
 
     fn verify(&self, rt: &Runtime) -> Result<(), VerifyError> {
         let out = self.out.expect("setup ran before verify");
-        check_f32("reduce", &self.reference(), &rt.read_f32(out))
+        check_f32("reduce", self.reference(), &rt.read_f32(out))
     }
 }
 

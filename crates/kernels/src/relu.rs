@@ -1,10 +1,12 @@
 //! `relu`: the rectified linear unit, the paper's simplest DNN layer.
 
+use std::cell::OnceCell;
+
 use vortex_asm::Program;
 use vortex_core::{Buffer, LaunchError, Runtime};
 use vortex_isa::{fregs, reg};
 
-use crate::data::{self, seeds};
+use crate::data::{seeds, LazyUniform};
 use crate::error::{check_f32, VerifyError};
 use crate::harness::{build_single, BodyCtx};
 use crate::kernel::{Kernel, PhaseSpec};
@@ -15,14 +17,20 @@ use crate::kernel::{Kernel, PhaseSpec};
 #[derive(Clone, Debug)]
 pub struct Relu {
     n: u32,
-    input: Vec<f32>,
+    input: LazyUniform,
     out: Option<Buffer>,
+    reference: OnceCell<Vec<f32>>,
 }
 
 impl Relu {
     /// A relu over `n` elements with seeded inputs (half negative).
     pub fn new(n: u32) -> Self {
-        Relu { n, input: data::uniform_f32(seeds::RELU, n as usize, -1.0, 1.0), out: None }
+        Relu {
+            n,
+            input: LazyUniform::new(seeds::RELU, n as usize, -1.0, 1.0),
+            out: None,
+            reference: OnceCell::new(),
+        }
     }
 
     /// The paper's size (len 4096).
@@ -31,8 +39,8 @@ impl Relu {
     }
 
     /// The host reference result.
-    pub fn reference(&self) -> Vec<f32> {
-        self.input.iter().map(|&x| x.max(0.0)).collect()
+    pub fn reference(&self) -> &[f32] {
+        self.reference.get_or_init(|| self.input.iter().map(|&x| x.max(0.0)).collect())
     }
 }
 
@@ -71,7 +79,7 @@ impl Kernel for Relu {
 
     fn verify(&self, rt: &Runtime) -> Result<(), VerifyError> {
         let out = self.out.expect("setup ran before verify");
-        check_f32("relu", &self.reference(), &rt.read_f32(out))
+        check_f32("relu", self.reference(), &rt.read_f32(out))
     }
 }
 

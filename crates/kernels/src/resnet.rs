@@ -7,7 +7,7 @@ use vortex_asm::Program;
 use vortex_core::{Buffer, LaunchError, Runtime};
 use vortex_isa::{fregs, reg};
 
-use crate::data::{self, seeds};
+use crate::data::{seeds, LazyUniform};
 use crate::error::{check_f32, VerifyError};
 use crate::harness::{build_single, BodyCtx};
 use crate::kernel::{Kernel, PhaseSpec};
@@ -24,8 +24,8 @@ pub struct ResnetLayer {
     height: u32,
     cin: u32,
     cout: u32,
-    input: Vec<f32>,
-    weights: Vec<f32>,
+    input: LazyUniform,
+    weights: LazyUniform,
     out: Option<Buffer>,
     /// Host reference output, computed once per instance — `verify` runs
     /// once per measurement across hundreds of campaign runs.
@@ -40,8 +40,8 @@ impl ResnetLayer {
             height,
             cin,
             cout,
-            input: data::uniform_f32(seeds::RESNET, (cin * width * height) as usize, -1.0, 1.0),
-            weights: data::uniform_f32(seeds::RESNET + 1, (cout * cin * 9) as usize, -0.3, 0.3),
+            input: LazyUniform::new(seeds::RESNET, (cin * width * height) as usize, -1.0, 1.0),
+            weights: LazyUniform::new(seeds::RESNET + 1, (cout * cin * 9) as usize, -0.3, 0.3),
             out: None,
             reference: OnceCell::new(),
         }

@@ -1,10 +1,12 @@
 //! `saxpy`: `y = a·x + y`, the BLAS level-1 staple.
 
+use std::cell::OnceCell;
+
 use vortex_asm::Program;
 use vortex_core::{Buffer, LaunchError, Runtime};
 use vortex_isa::{fregs, reg};
 
-use crate::data::{self, seeds};
+use crate::data::{seeds, LazyUniform};
 use crate::error::{check_f32, VerifyError};
 use crate::harness::{build_single, BodyCtx};
 use crate::kernel::{Kernel, PhaseSpec};
@@ -16,9 +18,10 @@ use crate::kernel::{Kernel, PhaseSpec};
 pub struct Saxpy {
     n: u32,
     alpha: f32,
-    x: Vec<f32>,
-    y: Vec<f32>,
+    x: LazyUniform,
+    y: LazyUniform,
     out: Option<Buffer>,
+    reference: OnceCell<Vec<f32>>,
 }
 
 impl Saxpy {
@@ -27,9 +30,10 @@ impl Saxpy {
         Saxpy {
             n,
             alpha: 2.5,
-            x: data::uniform_f32(seeds::SAXPY, n as usize, -1.0, 1.0),
-            y: data::uniform_f32(seeds::SAXPY + 1, n as usize, -1.0, 1.0),
+            x: LazyUniform::new(seeds::SAXPY, n as usize, -1.0, 1.0),
+            y: LazyUniform::new(seeds::SAXPY + 1, n as usize, -1.0, 1.0),
             out: None,
+            reference: OnceCell::new(),
         }
     }
 
@@ -39,8 +43,10 @@ impl Saxpy {
     }
 
     /// The host reference result (same FMA the device uses).
-    pub fn reference(&self) -> Vec<f32> {
-        self.x.iter().zip(&self.y).map(|(&x, &y)| self.alpha.mul_add(x, y)).collect()
+    pub fn reference(&self) -> &[f32] {
+        self.reference.get_or_init(|| {
+            self.x.iter().zip(self.y.iter()).map(|(&x, &y)| self.alpha.mul_add(x, y)).collect()
+        })
     }
 }
 
@@ -81,7 +87,7 @@ impl Kernel for Saxpy {
 
     fn verify(&self, rt: &Runtime) -> Result<(), VerifyError> {
         let out = self.out.expect("setup ran before verify");
-        check_f32("saxpy", &self.reference(), &rt.read_f32(out))
+        check_f32("saxpy", self.reference(), &rt.read_f32(out))
     }
 }
 

@@ -1,10 +1,12 @@
 //! `sgemm`: dense single-precision matrix multiply, `C = A × B`.
 
+use std::cell::OnceCell;
+
 use vortex_asm::{Assembler, Program};
 use vortex_core::{Buffer, LaunchError, Runtime};
 use vortex_isa::{fregs, reg};
 
-use crate::data::{self, seeds};
+use crate::data::{seeds, LazyUniform};
 use crate::error::{check_f32, VerifyError};
 use crate::harness::{build_single, BodyCtx};
 use crate::kernel::{Kernel, PhaseSpec};
@@ -73,9 +75,10 @@ pub struct Sgemm {
     m: u32,
     n: u32,
     k: u32,
-    a: Vec<f32>,
-    b: Vec<f32>,
+    a: LazyUniform,
+    b: LazyUniform,
     out: Option<Buffer>,
+    reference: OnceCell<Vec<f32>>,
 }
 
 impl Sgemm {
@@ -85,9 +88,10 @@ impl Sgemm {
             m,
             n,
             k,
-            a: data::uniform_f32(seeds::SGEMM, (m * k) as usize, -1.0, 1.0),
-            b: data::uniform_f32(seeds::SGEMM + 1, (k * n) as usize, -1.0, 1.0),
+            a: LazyUniform::new(seeds::SGEMM, (m * k) as usize, -1.0, 1.0),
+            b: LazyUniform::new(seeds::SGEMM + 1, (k * n) as usize, -1.0, 1.0),
             out: None,
+            reference: OnceCell::new(),
         }
     }
 
@@ -103,8 +107,10 @@ impl Sgemm {
     }
 
     /// The host reference result.
-    pub fn reference(&self) -> Vec<f32> {
-        reference_gemm(&self.a, &self.b, self.m as usize, self.n as usize, self.k as usize)
+    pub fn reference(&self) -> &[f32] {
+        self.reference.get_or_init(|| {
+            reference_gemm(&self.a, &self.b, self.m as usize, self.n as usize, self.k as usize)
+        })
     }
 }
 
@@ -132,7 +138,7 @@ impl Kernel for Sgemm {
 
     fn verify(&self, rt: &Runtime) -> Result<(), VerifyError> {
         let out = self.out.expect("setup ran before verify");
-        check_f32("sgemm", &self.reference(), &rt.read_f32(out))
+        check_f32("sgemm", self.reference(), &rt.read_f32(out))
     }
 }
 

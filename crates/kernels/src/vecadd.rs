@@ -1,10 +1,12 @@
 //! `vecadd`: element-wise vector addition (paper Fig. 1 & Fig. 2).
 
+use std::cell::OnceCell;
+
 use vortex_asm::Program;
 use vortex_core::{Buffer, LaunchError, Runtime};
 use vortex_isa::{fregs, reg};
 
-use crate::data::{self, seeds};
+use crate::data::{seeds, LazyUniform};
 use crate::error::{check_f32, VerifyError};
 use crate::harness::{build_single, BodyCtx};
 use crate::kernel::{Kernel, PhaseSpec};
@@ -15,9 +17,10 @@ use crate::kernel::{Kernel, PhaseSpec};
 #[derive(Clone, Debug)]
 pub struct VecAdd {
     n: u32,
-    a: Vec<f32>,
-    b: Vec<f32>,
+    a: LazyUniform,
+    b: LazyUniform,
     out: Option<Buffer>,
+    reference: OnceCell<Vec<f32>>,
 }
 
 impl VecAdd {
@@ -25,9 +28,10 @@ impl VecAdd {
     pub fn new(n: u32) -> Self {
         VecAdd {
             n,
-            a: data::uniform_f32(seeds::VECADD, n as usize, -1.0, 1.0),
-            b: data::uniform_f32(seeds::VECADD + 1, n as usize, -1.0, 1.0),
+            a: LazyUniform::new(seeds::VECADD, n as usize, -1.0, 1.0),
+            b: LazyUniform::new(seeds::VECADD + 1, n as usize, -1.0, 1.0),
             out: None,
+            reference: OnceCell::new(),
         }
     }
 
@@ -36,9 +40,16 @@ impl VecAdd {
         VecAdd::new(4096)
     }
 
-    /// The host reference result.
-    pub fn reference(&self) -> Vec<f32> {
-        self.a.iter().zip(&self.b).map(|(x, y)| x + y).collect()
+    /// Whether the input vectors have been generated (they are on the
+    /// first `setup` or `reference`, not by the constructor).
+    pub fn inputs_generated(&self) -> bool {
+        self.a.is_generated() || self.b.is_generated()
+    }
+
+    /// The host reference result (computed once).
+    pub fn reference(&self) -> &[f32] {
+        self.reference
+            .get_or_init(|| self.a.iter().zip(self.b.iter()).map(|(x, y)| x + y).collect())
     }
 }
 
@@ -80,7 +91,7 @@ impl Kernel for VecAdd {
 
     fn verify(&self, rt: &Runtime) -> Result<(), VerifyError> {
         let out = self.out.expect("setup ran before verify");
-        check_f32("vecadd", &self.reference(), &rt.read_f32(out))
+        check_f32("vecadd", self.reference(), &rt.read_f32(out))
     }
 }
 
@@ -99,6 +110,18 @@ mod tests {
                 run_kernel(&mut k, &DeviceConfig::with_topology(1, 2, 4), policy).unwrap();
             assert!(outcome.cycles > 0, "{policy}: no cycles measured");
         }
+    }
+
+    #[test]
+    fn inputs_are_generated_at_first_setup_and_the_reference_once() {
+        let mut k = VecAdd::new(128);
+        k.build().unwrap();
+        assert_eq!(k.phases()[0].gws, 128);
+        assert!(!k.inputs_generated(), "constructing and assembling touch no dataset");
+        let mut rt = Runtime::new(DeviceConfig::with_topology(1, 2, 4));
+        k.setup(&mut rt).unwrap();
+        assert!(k.inputs_generated());
+        assert!(std::ptr::eq(k.reference(), k.reference()), "verify reuses one host pass");
     }
 
     #[test]

@@ -196,7 +196,10 @@ impl LaunchRecord {
     ///
     /// Panics if `streams.len()` is not a multiple of `warps`.
     pub fn from_streams(warps: usize, streams: Vec<Vec<WarpEvent>>) -> Self {
-        assert!(warps > 0 && streams.len().is_multiple_of(warps), "stream count must cover whole cores");
+        assert!(
+            warps > 0 && streams.len().is_multiple_of(warps),
+            "stream count must cover whole cores"
+        );
         LaunchRecord { warps, streams }
     }
 
