@@ -20,10 +20,8 @@
 //! counters (`launches`, `dispatch_rounds`, `round_tasks` — raw sums, so
 //! shard merges stay exact); the stdout table prints them as rounds per
 //! launch and mean busy lanes per round, the occupancy profile of the
-//! launch pipeline. Since PR 6 each row also records the block-fusion
-//! counters (`instructions`, `fused_instructions`, `fused_blocks` — raw
-//! sums again), so the fused share of the instruction stream is
-//! attributable per kernel. Since PR 9 each row records the SIMT
+//! launch pipeline. Since PR 6 each row also records `instructions`
+//! (a raw sum again). Since PR 9 each row records the SIMT
 //! memory-port contention counters (`port_accesses`,
 //! `port_stall_slots` — raw sums) and a derived `host_ns_per_instr`
 //! field (host seconds per simulated instruction, the metric the
@@ -78,7 +76,7 @@
 //! ```
 //!
 //! A merged file sums per-kernel configuration counts, seconds and every
-//! raw counter — memory, dispatch, fusion, cache (shards partition the
+//! raw counter — memory, dispatch, cache (shards partition the
 //! grid, so sums reconstruct the full-grid values), weights mean DRAM
 //! utilisation by configuration count, and sums the shard totals into
 //! `total_seconds`.
@@ -235,7 +233,7 @@ fn main() {
         println!(
             "{:<13} {:>4} configs x3 policies: {:>8.2?}  (dram util {:.2}, L1 {:>5.1}%, \
              L2 {:>5.1}%, {} DRAM reqs, {:.1} rnds/launch, {:.1} lanes/rnd, \
-             fused {:>4.1}%, {:.1} instr/blk, {:.1} stall/acc, {:.0} ns/instr, \
+             {:.1} stall/acc, {:.0} ns/instr, \
              cache {hits}h/{misses}m, trace {}rec/{}rep)",
             factory.name,
             result.rows.len(),
@@ -246,8 +244,6 @@ fn main() {
             row.mem.dram_requests,
             row.dispatch.rounds_per_launch(),
             row.dispatch.mean_lanes_per_round(),
-            row.dispatch.fused_share() * 100.0,
-            row.dispatch.mean_fused_block_len(),
             if port_accesses == 0 { 0.0 } else { port_stall_slots as f64 / port_accesses as f64 },
             row.host_ns_per_instr(),
             result.trace_records,

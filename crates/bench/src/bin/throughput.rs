@@ -15,14 +15,11 @@
 //! columns (rounds per launch, mean busy lanes per round, from
 //! `DispatchStats`) attribute launch-pipeline cost the same way: many
 //! rounds at few busy lanes marks the low-occupancy dispatch regime.
-//! Block-fusion columns (fused share of the instruction stream and mean
-//! fused-block length) show how much of a kernel's issue traffic the
-//! basic-block engine absorbs — a kernel stuck near 0% fused spends its
-//! cycles in the per-instruction fallback path. Port-contention columns
-//! (memory-port accesses and mean stall slots per access, from the
-//! PR 9 port counters) mark kernels serialising uncoalesced lines
-//! through the L1 ports; on a clustered topology (`--topo …xN`) a
-//! per-kernel footer breaks the same raw sums down by cluster.
+//! Port-contention columns (memory-port accesses and mean stall slots
+//! per access, from the PR 9 port counters) mark kernels serialising
+//! uncoalesced lines through the L1 ports; on a clustered topology
+//! (`--topo …xN`) a per-kernel footer breaks the same raw sums down by
+//! cluster.
 //!
 //! With `--cache DIR` the run opens the campaign result store first and
 //! prints its inventory — resident rows per kernel, store bytes, and
@@ -81,8 +78,8 @@ fn main() {
     }
 
     println!(
-        "{:<13} {:>7} {:>12} {:>14} {:>10} {:>9} {:>9} {:>6} {:>6} {:>10} {:>8} {:>8} {:>7} \
-         {:>8} {:>9} {:>8}",
+        "{:<13} {:>7} {:>12} {:>14} {:>10} {:>9} {:>9} {:>6} {:>6} {:>10} {:>8} {:>8} {:>9} \
+         {:>8}",
         "kernel",
         "policy",
         "instructions",
@@ -95,8 +92,6 @@ fn main() {
         "DRAM reqs",
         "rnds/ln",
         "lane/rnd",
-        "fused%",
-        "instr/bk",
         "port acc",
         "stl/acc"
     );
@@ -148,7 +143,7 @@ fn main() {
             let dt = start.elapsed().as_secs_f64();
             println!(
                 "{:<13} {:>7} {:>12} {:>14} {:>10.1} {:>9.2} {:>9.2} {:>6.1} {:>6.1} {:>10} \
-                 {:>8.1} {:>8.1} {:>7.1} {:>8.1} {:>9} {:>8.2}",
+                 {:>8.1} {:>8.1} {:>9} {:>8.2}",
                 factory.name,
                 policy.label(),
                 instructions / reps as u64,
@@ -161,8 +156,6 @@ fn main() {
                 mem.dram_requests / reps as u64,
                 dispatch.rounds_per_launch(),
                 dispatch.mean_lanes_per_round(),
-                dispatch.fused_share() * 100.0,
-                dispatch.mean_fused_block_len(),
                 ports.0 / reps as u64,
                 if ports.0 == 0 { 0.0 } else { ports.1 as f64 / ports.0 as f64 },
             );
@@ -176,7 +169,7 @@ fn main() {
         }
         println!(
             "{:<13} {:>7} {:>12} {:>14} {:>10.1} {:>9.2} {:>9.2} {:>6.1} {:>6.1} {:>10} \
-             {:>8.1} {:>8.1} {:>7.1} {:>8.1} {:>9} {:>8.2}",
+             {:>8.1} {:>8.1} {:>9} {:>8.2}",
             factory.name,
             "total",
             kernel_instr / reps as u64,
@@ -189,8 +182,6 @@ fn main() {
             kernel_mem.dram_requests / reps as u64,
             kernel_dispatch.rounds_per_launch(),
             kernel_dispatch.mean_lanes_per_round(),
-            kernel_dispatch.fused_share() * 100.0,
-            kernel_dispatch.mean_fused_block_len(),
             kernel_ports.0 / reps as u64,
             if kernel_ports.0 == 0 { 0.0 } else { kernel_ports.1 as f64 / kernel_ports.0 as f64 },
         );

@@ -158,8 +158,7 @@ pub fn render_json(file: &ProbeFile) -> String {
              \"mean_dram_utilization\": {:.4}, \"l1_hits\": {}, \"l1_misses\": {}, \
              \"l2_hits\": {}, \"l2_misses\": {}, \"dram_requests\": {}, \
              \"launches\": {}, \"dispatch_rounds\": {}, \"round_tasks\": {}, \
-             \"instructions\": {}, \"fused_instructions\": {}, \"fused_blocks\": {}, \
-             \"issued_instructions\": {}, \
+             \"instructions\": {}, \"issued_instructions\": {}, \
              \"cache_hits\": {}, \"cache_misses\": {}, \
              \"port_accesses\": {}, \"port_stall_slots\": {}, \
              \"trace_records\": {}, \"trace_replays\": {}, \
@@ -177,8 +176,6 @@ pub fn render_json(file: &ProbeFile) -> String {
             d.rounds,
             d.round_tasks,
             d.instructions,
-            d.fused_instructions,
-            d.fused_blocks,
             row.instructions,
             row.cache_hits,
             row.cache_misses,
@@ -194,9 +191,11 @@ pub fn render_json(file: &ProbeFile) -> String {
 }
 
 /// Parses the exact JSON [`render_json`] writes. Counters absent from
-/// older file generations (pre-PR4 memory, pre-PR5 dispatch, pre-PR6
-/// fusion, pre-PR7 cache, pre-PR9 port) default to zero, so every
-/// committed baseline still parses and merges.
+/// older file generations (pre-PR4 memory, pre-PR5 dispatch, pre-PR7
+/// cache, pre-PR9 port) default to zero, so every committed baseline
+/// still parses and merges. Keys no longer written are ignored:
+/// `fused_instructions` and `fused_blocks`, the counters of the removed
+/// block-fusion engine.
 ///
 /// # Errors
 ///
@@ -232,8 +231,6 @@ pub fn parse_probe_json(text: &str) -> Result<ProbeFile, String> {
             rounds: counter(obj, "dispatch_rounds"),
             round_tasks: counter(obj, "round_tasks"),
             instructions: counter(obj, "instructions"),
-            fused_instructions: counter(obj, "fused_instructions"),
-            fused_blocks: counter(obj, "fused_blocks"),
         };
         file.rows.push(KernelRow {
             name: obj.get("name")?,
@@ -257,7 +254,7 @@ pub fn parse_probe_json(text: &str) -> Result<ProbeFile, String> {
 }
 
 /// Merges shard probe JSONs: per-kernel configuration counts, seconds
-/// and every raw counter (memory, dispatch, fusion, cache) are summed;
+/// and every raw counter (memory, dispatch, cache) are summed;
 /// mean DRAM utilisation is weighted by configuration count; shard
 /// totals sum into `total_seconds`. Shards partition the grid, so the
 /// sums reconstruct exactly the full-grid values.
@@ -280,7 +277,6 @@ pub fn merge_probe_files(paths: &[String]) -> Result<String, String> {
         for (marker, what) in [
             ("\"l1_hits\"", "memory counters (pre-PR4 format); merged hit/miss/DRAM"),
             ("\"dispatch_rounds\"", "dispatch counters (pre-PR5 format); merged launch/round/task"),
-            ("\"fused_instructions\"", "fusion counters (pre-PR6 format); merged instr/fused"),
             ("\"cache_hits\"", "cache counters (pre-PR7 format); merged hit/miss/bytes"),
             ("\"port_accesses\"", "port counters (pre-PR9 format); merged access/stall"),
             ("\"trace_records\"", "trace counters (pre-PR10 format); merged record/replay"),
@@ -336,8 +332,6 @@ mod tests {
             rounds: 20 * scale,
             round_tasks: 160 * scale,
             instructions: 1000 * scale,
-            fused_instructions: 400 * scale,
-            fused_blocks: 80 * scale,
         };
         KernelRow {
             name: name.to_owned(),
@@ -387,8 +381,6 @@ mod tests {
         assert_eq!(parsed.rows[1].dispatch.rounds, 40);
         assert_eq!(parsed.rows[1].dispatch.round_tasks, 320);
         assert_eq!(parsed.rows[0].dispatch.instructions, 1000);
-        assert_eq!(parsed.rows[1].dispatch.fused_instructions, 800);
-        assert_eq!(parsed.rows[1].dispatch.fused_blocks, 160);
         assert_eq!((parsed.rows[0].cache_hits, parsed.rows[0].cache_misses), (2, 7));
         assert_eq!((parsed.rows[1].cache_hits, parsed.rows[1].cache_misses), (4, 14));
         assert_eq!((parsed.rows[0].port_accesses, parsed.rows[0].port_stall_slots), (60, 9));
@@ -493,10 +485,7 @@ mod tests {
         assert_eq!(m.dispatch.launches, 20);
         assert_eq!(m.dispatch.rounds, 80);
         assert_eq!(m.dispatch.round_tasks, 640);
-        // And the fusion counters: scales 1 + 3 = 4.
         assert_eq!(m.dispatch.instructions, 4000);
-        assert_eq!(m.dispatch.fused_instructions, 1600);
-        assert_eq!(m.dispatch.fused_blocks, 320);
         // And the campaign-cache counters, per-row and top-level.
         assert_eq!((m.cache_hits, m.cache_misses), (8, 28));
         assert_eq!(parsed.cache_bytes_read, 128);

@@ -135,17 +135,7 @@ pub fn digest_device_config(config: &DeviceConfig) -> u64 {
         config;
     let TimingConfig { alu, mul, div, fpu, fdiv, fsqrt, branch_bubble, simt, wspawn, barrier } =
         timing;
-    let MemConfig {
-        l1,
-        l1_banks,
-        l2,
-        l2_banks,
-        l1_latency,
-        l2_latency,
-        l2_interval,
-        dram,
-        l1_line_memo,
-    } = mem;
+    let MemConfig { l1, l1_banks, l2, l2_banks, l1_latency, l2_latency, l2_interval, dram } = mem;
     let DramConfig { latency: dram_latency, interval: dram_interval, channels } = dram;
 
     let mut h = Fnv64::new();
@@ -173,7 +163,10 @@ pub fn digest_device_config(config: &DeviceConfig) -> u64 {
     h.write_u64(*dram_latency);
     h.write_u64(*dram_interval);
     h.write_u32(*channels);
-    h.write_bool(*l1_line_memo);
+    // Retired slot: `MemConfig::l1_line_memo` (removed; it was `false` in
+    // every stored row). Folding the constant keeps every key written
+    // while the field existed valid.
+    h.write_bool(false);
     // Clustering (PR 9). The knob is timing-transparent by construction
     // (clustered == flat is gated bit-identical in CI), so the flat
     // default is *consciously excluded* to keep every key written before
@@ -326,9 +319,6 @@ mod tests {
         let mut v = base;
         v.mem.dram.channels += 1;
         variants.push(("dram.channels", v));
-        let mut v = base;
-        v.mem.l1_line_memo = true;
-        variants.push(("l1_line_memo", v));
         let mut v = base;
         v.cores_per_cluster = 2;
         variants.push(("cores_per_cluster", v));

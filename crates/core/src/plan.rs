@@ -127,13 +127,7 @@ impl LaunchPlan {
     }
 
     /// Assembles the launch report for one execution of this plan.
-    pub(crate) fn report(
-        &self,
-        cycles: vortex_mem::Cycle,
-        instructions: u64,
-        fused_instructions: u64,
-        fused_blocks: u64,
-    ) -> LaunchReport {
+    pub(crate) fn report(&self, cycles: vortex_mem::Cycle, instructions: u64) -> LaunchReport {
         LaunchReport {
             lws: self.lws,
             n_tasks: self.n_tasks,
@@ -143,8 +137,6 @@ impl LaunchPlan {
             active_cores: self.active_cores(),
             cycles,
             instructions,
-            fused_instructions,
-            fused_blocks,
         }
     }
 }
@@ -182,14 +174,6 @@ pub struct DispatchStats {
     /// this yields instructions per warp group — the affine-in-lws
     /// quantity the autotuner's stage-1 sub-model regresses.
     pub instructions: u64,
-    /// Instructions issued through the fused basic-block path (a subset
-    /// of [`instructions`](DispatchStats::instructions)); the fused
-    /// share tracks how much of the stream the PR 6 superinstruction
-    /// engine covers.
-    pub fused_instructions: u64,
-    /// Fused block dispatches, summed over launches
-    /// (`fused_instructions / fused_blocks` = mean fused block length).
-    pub fused_blocks: u64,
 }
 
 impl DispatchStats {
@@ -200,8 +184,6 @@ impl DispatchStats {
             rounds: report.total_rounds,
             round_tasks: u64::from(report.n_tasks),
             instructions: report.instructions,
-            fused_instructions: report.fused_instructions,
-            fused_blocks: report.fused_blocks,
         }
     }
 
@@ -211,8 +193,6 @@ impl DispatchStats {
         self.rounds += other.rounds;
         self.round_tasks += other.round_tasks;
         self.instructions += other.instructions;
-        self.fused_instructions += other.fused_instructions;
-        self.fused_blocks += other.fused_blocks;
     }
 
     /// Mean dispatch rounds per launch (0.0 before any launch).
@@ -230,25 +210,6 @@ impl DispatchStats {
             0.0
         } else {
             self.round_tasks as f64 / self.rounds as f64
-        }
-    }
-
-    /// Share of instructions issued through the fused basic-block path
-    /// (0.0 before any instruction).
-    pub fn fused_share(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.fused_instructions as f64 / self.instructions as f64
-        }
-    }
-
-    /// Mean instructions per fused block dispatch (0.0 before any block).
-    pub fn mean_fused_block_len(&self) -> f64 {
-        if self.fused_blocks == 0 {
-            0.0
-        } else {
-            self.fused_instructions as f64 / self.fused_blocks as f64
         }
     }
 }
@@ -289,33 +250,23 @@ mod tests {
         let mut total = DispatchStats::default();
         assert_eq!(total.rounds_per_launch(), 0.0);
         assert_eq!(total.mean_lanes_per_round(), 0.0);
-        assert_eq!(total.fused_share(), 0.0);
-        assert_eq!(total.mean_fused_block_len(), 0.0);
         total.accumulate(&DispatchStats {
             launches: 2,
             rounds: 8,
             round_tasks: 64,
             instructions: 300,
-            fused_instructions: 90,
-            fused_blocks: 20,
         });
         total.accumulate(&DispatchStats {
             launches: 2,
             rounds: 2,
             round_tasks: 16,
             instructions: 100,
-            fused_instructions: 110,
-            fused_blocks: 30,
         });
         assert_eq!(total.launches, 4);
         assert_eq!(total.rounds, 10);
         assert_eq!(total.round_tasks, 80);
         assert_eq!(total.instructions, 400);
-        assert_eq!(total.fused_instructions, 200);
-        assert_eq!(total.fused_blocks, 50);
         assert!((total.rounds_per_launch() - 2.5).abs() < 1e-12);
         assert!((total.mean_lanes_per_round() - 8.0).abs() < 1e-12);
-        assert!((total.fused_share() - 0.5).abs() < 1e-12);
-        assert!((total.mean_fused_block_len() - 4.0).abs() < 1e-12);
     }
 }

@@ -90,11 +90,6 @@ pub struct LaunchReport {
     pub cycles: Cycle,
     /// Instructions issued during the launch.
     pub instructions: u64,
-    /// Instructions issued through the fused basic-block path (subset of
-    /// [`instructions`](LaunchReport::instructions)).
-    pub fused_instructions: u64,
-    /// Fused block dispatches during the launch.
-    pub fused_blocks: u64,
 }
 
 /// An error raised by [`Runtime::launch`].
@@ -362,60 +357,7 @@ impl Runtime {
         params: &LaunchParams,
         trace: Option<&mut S>,
     ) -> Result<LaunchReport, LaunchError> {
-        let entry = match params.entry {
-            Some(addr) => {
-                if self.entry.is_none() {
-                    return Err(LaunchError::NoProgram);
-                }
-                addr
-            }
-            None => self.entry.ok_or(LaunchError::NoProgram)?,
-        };
-        if params.gws == 0 {
-            return Err(LaunchError::InvalidParams { reason: "gws must be positive".into() });
-        }
-        let config = *self.device.config();
-        let lws = params.policy.lws_for(params.gws, &config);
-        let plan = match self.plans.entry((params.gws, lws)) {
-            Entry::Occupied(e) => {
-                self.plan_hits += 1;
-                e.into_mut()
-            }
-            Entry::Vacant(v) => {
-                self.plan_misses += 1;
-                v.insert(LaunchPlan::compile(params.gws, lws, &config))
-            }
-        };
-        let device = &mut self.device;
-
-        let start_cycle = device.now();
-        let start = *device.counters();
-
-        // Host writes the pre-rendered dispatch blocks word by word
-        // (`write_u32_slice` would heap-allocate a staging buffer per
-        // call — a per-launch cost on exactly the path this cache
-        // exists to strip), then pays the dispatch latency and starts
-        // the plan's warp-0 set.
-        let mem = device.memory_mut();
-        for i in 0..plan.active_cores() {
-            let (addr, words) = plan.core_block(i);
-            for (j, &word) in words.iter().enumerate() {
-                mem.write_u32(addr + 4 * j as u32, word);
-            }
-        }
-        device.advance_time(self.dispatch_overhead);
-
-        device.start_warps(plan.starts(), entry);
-        let limit = start_cycle + params.max_cycles;
-        device.run_with(limit, trace)?;
-
-        let end = device.counters();
-        Ok(plan.report(
-            device.now() - start_cycle,
-            end.instructions - start.instructions,
-            end.fused_instructions - start.fused_instructions,
-            end.fused_blocks - start.fused_blocks,
-        ))
+        self.launch_inner(params, trace, None)
     }
 
     /// [`launch`](Runtime::launch) in **replay** mode: the launch's
@@ -435,14 +377,25 @@ impl Runtime {
     /// # Errors
     ///
     /// As for [`launch`](Runtime::launch), plus
-    /// [`SimError::ReplayDiverged`] / [`SimError::ReplayIncomplete`]
-    /// (via [`LaunchError::Sim`]) when the trace does not match the run.
+    /// [`SimError::ReplayShape`] / [`SimError::ReplayDiverged`] /
+    /// [`SimError::ReplayIncomplete`] (via [`LaunchError::Sim`]) when the
+    /// trace does not match the run.
     pub fn launch_replay<S: TraceSink + ?Sized>(
         &mut self,
         params: &LaunchParams,
         trace: Option<&mut S>,
         rec: &LaunchRecord,
         cursor: &mut ReplayCursor,
+    ) -> Result<LaunchReport, LaunchError> {
+        self.launch_inner(params, trace, Some((rec, cursor)))
+    }
+
+    /// The one launch body: executes, or replays when `record` is given.
+    fn launch_inner<S: TraceSink + ?Sized>(
+        &mut self,
+        params: &LaunchParams,
+        trace: Option<&mut S>,
+        record: Option<(&LaunchRecord, &mut ReplayCursor)>,
     ) -> Result<LaunchReport, LaunchError> {
         let entry = match params.entry {
             Some(addr) => {
@@ -471,23 +424,43 @@ impl Runtime {
         let device = &mut self.device;
 
         let start_cycle = device.now();
-        let start = *device.counters();
+        let start_instructions = device.counters().instructions;
 
+        // Host writes the pre-rendered dispatch blocks word by word
+        // (`write_u32_slice` would heap-allocate a staging buffer per
+        // call — a per-launch cost on exactly the path this cache
+        // exists to strip), then pays the dispatch latency and starts
+        // the plan's warp-0 set. A replay never reads memory, so it
+        // skips the write.
+        if record.is_none() {
+            let mem = device.memory_mut();
+            for i in 0..plan.active_cores() {
+                let (addr, words) = plan.core_block(i);
+                for (j, &word) in words.iter().enumerate() {
+                    mem.write_u32(addr + 4 * j as u32, word);
+                }
+            }
+        }
         device.advance_time(self.dispatch_overhead);
+
         device.start_warps(plan.starts(), entry);
         let limit = start_cycle + params.max_cycles;
-        device.run_replay(limit, trace, rec, cursor)?;
-        let leftover = rec.leftover(cursor);
-        if leftover != 0 {
-            return Err(LaunchError::Sim(SimError::ReplayIncomplete { leftover }));
+        match record {
+            None => {
+                device.run_with(limit, trace)?;
+            }
+            Some((rec, cursor)) => {
+                device.run_replay(limit, trace, rec, cursor)?;
+                let leftover = rec.leftover(cursor);
+                if leftover != 0 {
+                    return Err(LaunchError::Sim(SimError::ReplayIncomplete { leftover }));
+                }
+            }
         }
 
-        let end = device.counters();
         Ok(plan.report(
             device.now() - start_cycle,
-            end.instructions - start.instructions,
-            end.fused_instructions - start.fused_instructions,
-            end.fused_blocks - start.fused_blocks,
+            device.counters().instructions - start_instructions,
         ))
     }
 }

@@ -130,8 +130,8 @@ pub fn run_kernel_traced(
     let mut rt = Runtime::new(*config);
     rt.load_program(&program);
     match trace {
-        Some(sink) => run_phases(kernel, &program, &mut rt, policy, Some(sink)),
-        None => run_phases::<NullSink>(kernel, &program, &mut rt, policy, None),
+        Some(sink) => run_phases(kernel, &program, &mut rt, policy, Some(sink), None),
+        None => run_phases::<NullSink>(kernel, &program, &mut rt, policy, None, None),
     }
 }
 
@@ -151,7 +151,7 @@ pub fn run_kernel_prepared(
     rt: &mut Runtime,
     policy: LwsPolicy,
 ) -> Result<RunOutcome, KernelError> {
-    run_phases::<NullSink>(kernel, program, rt, policy, None)
+    run_phases::<NullSink>(kernel, program, rt, policy, None, None)
 }
 
 /// [`run_kernel_prepared`] with a [`TraceRecorder`] attached: executes
@@ -173,7 +173,7 @@ pub fn record_kernel_prepared(
 ) -> Result<(RunOutcome, RecordedTrace), KernelError> {
     let config = *rt.device().config();
     let mut rec = TraceRecorder::new(config.cores, config.warps);
-    let outcome = run_phases(kernel, program, rt, policy, Some(&mut rec))?;
+    let outcome = run_phases(kernel, program, rt, policy, Some(&mut rec), None)?;
     Ok((outcome, rec.finish()))
 }
 
@@ -198,7 +198,7 @@ pub fn replay_kernel_prepared(
     policy: LwsPolicy,
     rec: &RecordedTrace,
 ) -> Result<RunOutcome, KernelError> {
-    replay_phases::<NullSink>(kernel, program, rt, policy, rec, None)
+    run_phases::<NullSink>(kernel, program, rt, policy, None, Some(rec))
 }
 
 /// [`replay_kernel_prepared`] with a trace sink attached — the hook the
@@ -217,112 +217,75 @@ pub fn replay_kernel_traced(
     trace: Option<&mut dyn TraceSink>,
 ) -> Result<RunOutcome, KernelError> {
     match trace {
-        Some(sink) => replay_phases(kernel, program, rt, policy, rec, Some(sink)),
-        None => replay_phases::<NullSink>(kernel, program, rt, policy, rec, None),
+        Some(sink) => run_phases(kernel, program, rt, policy, Some(sink), Some(rec)),
+        None => run_phases::<NullSink>(kernel, program, rt, policy, None, Some(rec)),
     }
 }
 
-/// The replay twin of [`run_phases`]: validates the trace against the
-/// device and phase structure, then drives each phase through
-/// [`Runtime::launch_replay`] with its own [`LaunchRecord`] and cursor.
-fn replay_phases<S: TraceSink + ?Sized>(
-    kernel: &mut dyn Kernel,
-    program: &Program,
-    rt: &mut Runtime,
-    policy: LwsPolicy,
-    rec: &RecordedTrace,
-    mut trace: Option<&mut S>,
-) -> Result<RunOutcome, KernelError> {
-    let config = *rt.device().config();
-    let phases = kernel.phases();
-    if rec.cores != config.cores || rec.warps != config.warps {
-        return Err(KernelError::TraceMismatch {
-            reason: format!(
-                "trace recorded on {}x{} (cores x warps), device is {}x{}",
-                rec.cores, rec.warps, config.cores, config.warps
-            ),
-        });
-    }
-    if rec.launches.len() != phases.len() {
-        return Err(KernelError::TraceMismatch {
-            reason: format!(
-                "trace holds {} launch records, kernel has {} phases",
-                rec.launches.len(),
-                phases.len()
-            ),
-        });
-    }
-    rt.reset();
-
-    let mut reports = Vec::new();
-    let mut cycles = 0;
-    let mut dispatch = DispatchStats::default();
-    for (phase, launch) in phases.iter().zip(&rec.launches) {
-        let entry = program
-            .symbol(&phase.symbol)
-            .ok_or_else(|| KernelError::MissingSymbol { symbol: phase.symbol.clone() })?;
-        let params = LaunchParams::new(phase.gws).policy(policy).entry(entry);
-        let mut cursor = launch.cursor();
-        let report = rt.launch_replay(
-            &params,
-            match trace {
-                Some(ref mut sink) => Some(&mut **sink),
-                None => None,
-            },
-            launch,
-            &mut cursor,
-        )?;
-        cycles += report.cycles;
-        dispatch.accumulate(&DispatchStats::of_launch(&report));
-        reports.push(report);
-    }
-
-    let (port_accesses, port_stall_slots) = rt.device().port_totals();
-    Ok(RunOutcome {
-        cycles,
-        reports,
-        mem: rt.device().mem_stats(),
-        dram_utilization: rt.device().dram_utilization(),
-        instructions: rt.device().counters().instructions,
-        dispatch,
-        port_accesses,
-        port_stall_slots,
-    })
-}
-
-/// The shared phase loop, generic over the sink so untraced runs are
+/// The one phase loop, generic over the sink so untraced runs are
 /// monomorphised end to end. Resets the runtime first: results must be
-/// independent of whatever ran on it before.
+/// independent of whatever ran on it before. With a `record` the phases
+/// replay it — each through [`Runtime::launch_replay`] with its own
+/// [`LaunchRecord`](vortex_sim::LaunchRecord) and cursor, after the trace
+/// is validated against the device and phase structure — and input
+/// upload and verification are skipped (the recording run did both).
 fn run_phases<S: TraceSink + ?Sized>(
     kernel: &mut dyn Kernel,
     program: &Program,
     rt: &mut Runtime,
     policy: LwsPolicy,
     mut trace: Option<&mut S>,
+    record: Option<&RecordedTrace>,
 ) -> Result<RunOutcome, KernelError> {
     rt.reset();
-    kernel.setup(rt)?;
+    if record.is_none() {
+        kernel.setup(rt)?;
+    }
+    let phases = kernel.phases();
+    if let Some(rec) = record {
+        let config = rt.device().config();
+        if rec.cores != config.cores || rec.warps != config.warps {
+            return Err(KernelError::TraceMismatch {
+                reason: format!(
+                    "trace recorded on {}x{} (cores x warps), device is {}x{}",
+                    rec.cores, rec.warps, config.cores, config.warps
+                ),
+            });
+        }
+        if rec.launches.len() != phases.len() {
+            return Err(KernelError::TraceMismatch {
+                reason: format!(
+                    "trace holds {} launch records, kernel has {} phases",
+                    rec.launches.len(),
+                    phases.len()
+                ),
+            });
+        }
+    }
 
     let mut reports = Vec::new();
     let mut cycles = 0;
     let mut dispatch = DispatchStats::default();
-    for phase in kernel.phases() {
+    for (i, phase) in phases.iter().enumerate() {
         let entry = program
             .symbol(&phase.symbol)
             .ok_or_else(|| KernelError::MissingSymbol { symbol: phase.symbol.clone() })?;
         let params = LaunchParams::new(phase.gws).policy(policy).entry(entry);
-        let report = rt.launch_with(
-            &params,
-            match trace {
-                Some(ref mut sink) => Some(&mut **sink),
-                None => None,
-            },
-        )?;
+        let sink = trace.as_deref_mut();
+        let report = match record {
+            None => rt.launch_with(&params, sink)?,
+            Some(rec) => {
+                let launch = &rec.launches[i];
+                rt.launch_replay(&params, sink, launch, &mut launch.cursor())?
+            }
+        };
         cycles += report.cycles;
         dispatch.accumulate(&DispatchStats::of_launch(&report));
         reports.push(report);
     }
-    kernel.verify(rt)?;
+    if record.is_none() {
+        kernel.verify(rt)?;
+    }
 
     let (port_accesses, port_stall_slots) = rt.device().port_totals();
     Ok(RunOutcome {

@@ -1,13 +1,18 @@
 //! Record/replay engine validation over real kernels: bit-identity with
-//! execute mode (same config, different timing, fusion on/off),
+//! execute mode (same config, different timing),
 //! record→replay→re-record idempotence, and mismatch rejection.
 
+use vortex_asm::Assembler;
 use vortex_core::{LwsPolicy, Runtime};
+use vortex_isa::{csrs, reg, Instr};
 use vortex_kernels::{
     record_kernel_prepared, replay_kernel_prepared, replay_kernel_traced, run_kernel_prepared,
-    Kernel, Reduce, RunOutcome, Saxpy, VecAdd,
+    Kernel, Reduce, RunOutcome, Saxpy,
 };
-use vortex_sim::{DeviceConfig, RecordedTrace, TraceRecorder};
+use vortex_sim::{
+    Device, DeviceConfig, IssueEvent, LaunchRecord, NullSink, RecordedTrace, SimError,
+    TraceRecorder, VecTraceSink, WarpEvent,
+};
 
 /// The whole observable outcome, as the probe would print it.
 fn fingerprint(o: &RunOutcome) -> String {
@@ -112,25 +117,6 @@ fn replay_retimes_under_a_different_cache_geometry() {
 }
 
 #[test]
-fn replay_matches_execute_with_fusion_off() {
-    // A trace recorded with fusion ON replays under fusion OFF, and the
-    // replay equals *executing* with fusion off (fused-dispatch counters
-    // included — the trace carries no fusion state).
-    let config = DeviceConfig::with_topology(1, 4, 8);
-    let mut k = VecAdd::new(256);
-    let (_, rec) = record(&mut k, &config, LwsPolicy::Auto);
-
-    let program = k.build().unwrap();
-    let mut rt = Runtime::new(config);
-    rt.load_program(&program);
-    rt.device_mut().set_block_fusion(false);
-    let executed = run_kernel_prepared(&mut k, &program, &mut rt, LwsPolicy::Auto).unwrap();
-    let replayed =
-        replay_kernel_prepared(&mut k, &program, &mut rt, LwsPolicy::Auto, &rec).unwrap();
-    assert_eq!(fingerprint(&executed), fingerprint(&replayed));
-}
-
-#[test]
 fn rerecording_a_replay_reproduces_the_trace() {
     let config = DeviceConfig::with_topology(2, 2, 4);
     let mut k = Reduce::new(100);
@@ -185,4 +171,119 @@ fn mismatched_traces_are_rejected() {
     rt.load_program(&program);
     let err = replay_kernel_prepared(&mut k, &program, &mut rt, LwsPolicy::Auto, &empty);
     assert!(err.is_err(), "exhausted stream must raise ReplayDiverged");
+}
+
+/// Every family of instruction with a recorded outcome, on two warps:
+/// `wspawn`, span and lane-set loads and stores, a branch, a divergent
+/// `split`/`join`, a two-party `bar` and the halting `tmc`.
+fn every_dynamic_family(a: &mut Assembler) {
+    let worker = a.label("worker");
+    a.li(reg::T0, 2);
+    a.la_label(reg::T1, worker);
+    a.vx_wspawn(reg::T0, reg::T1);
+    a.bind(worker).unwrap();
+    a.csrr(reg::T2, csrs::THREAD_ID);
+    a.slli(reg::T3, reg::T2, 2);
+    a.la(reg::T4, 0x1000);
+    a.add(reg::T3, reg::T3, reg::T4);
+    a.sw(reg::T2, 0, reg::T3); // unit stride: a span
+    a.lw(reg::T5, 0, reg::T3);
+    a.mul(reg::T6, reg::T2, reg::T2);
+    a.slli(reg::T6, reg::T6, 3);
+    a.add(reg::T6, reg::T6, reg::T4);
+    a.lw(reg::A0, 0, reg::T6); // tid² stride: a lane set
+    a.sw(reg::A0, 0x100, reg::T6);
+    let skip = a.label("skip");
+    a.beq(reg::ZERO, reg::ZERO, skip);
+    a.nop();
+    a.bind(skip).unwrap();
+    a.andi(reg::A1, reg::T2, 1);
+    let join = a.label("join");
+    a.vx_split(reg::A1, join);
+    a.nop();
+    a.bind(join).unwrap();
+    a.vx_join();
+    a.li(reg::A2, 0);
+    a.li(reg::A3, 2);
+    a.vx_bar(reg::A2, reg::A3);
+    a.vx_tmc(reg::ZERO);
+}
+
+#[test]
+fn a_recorded_event_of_the_wrong_kind_diverges_at_its_instruction() {
+    let mut a = Assembler::new(0x8000_0000);
+    every_dynamic_family(&mut a);
+    let program = a.assemble().unwrap();
+    let fresh = || {
+        let mut device = Device::new(DeviceConfig::with_topology(1, 2, 4));
+        device.load_program(&program);
+        device.start_warp(0, program.entry());
+        device
+    };
+    let mut issues = VecTraceSink::new();
+    fresh().run(100_000, Some(&mut issues)).unwrap();
+    let mut recorder = TraceRecorder::new(1, 2);
+    fresh().run_with(100_000, Some(&mut recorder)).unwrap();
+    let launch = recorder.finish().launches.remove(0);
+
+    // The k-th event of a warp's stream belongs to the k-th instruction
+    // with a recorded outcome that warp issued.
+    let consumers = |w: usize| -> Vec<IssueEvent> {
+        let dynamic = |e: &&IssueEvent| {
+            e.warp == w
+                && (e.instr.is_mem()
+                    || matches!(
+                        e.instr,
+                        Instr::Branch { .. }
+                            | Instr::Split { .. }
+                            | Instr::Join
+                            | Instr::Bar { .. }
+                            | Instr::Wspawn { .. }
+                            | Instr::Tmc { .. }
+                    ))
+        };
+        issues.events().iter().filter(dynamic).copied().collect()
+    };
+    let span = |ev: &WarpEvent| matches!(ev, WarpEvent::MemSpan { .. });
+    let flip = |ev: &WarpEvent| match ev.clone() {
+        WarpEvent::MemSpan { addr0, last, store } => {
+            WarpEvent::MemSpan { addr0, last, store: !store }
+        }
+        WarpEvent::MemLanes { addrs, store } => WarpEvent::MemLanes { addrs, store: !store },
+        other => other,
+    };
+    let ctl = WarpEvent::Ctl { next_pc: 0x8000_0000, tmask: 1 };
+    let bar = WarpEvent::Bar { id: 0, count: 1 };
+    let wspawn = WarpEvent::Wspawn { count: 1, target: 0x8000_0000 };
+    type Is = fn(&Instr) -> bool;
+    type Swap<'a> = &'a dyn Fn(&WarpEvent) -> WarpEvent;
+    let cases: [(&str, Is, bool, Swap<'_>); 10] = [
+        ("branch", |i| matches!(i, Instr::Branch { .. }), false, &|_| WarpEvent::Halt),
+        ("split", |i| matches!(i, Instr::Split { .. }), false, &|_| bar.clone()),
+        ("join", |i| matches!(i, Instr::Join), false, &|_| wspawn.clone()),
+        ("span load", |i| matches!(i, Instr::Load { .. }), true, &|_| ctl.clone()),
+        ("lane load as store", |i| matches!(i, Instr::Load { .. }), false, &flip),
+        ("span store as load", |i| matches!(i, Instr::Store { .. }), true, &flip),
+        ("lane store", |i| matches!(i, Instr::Store { .. }), false, &|_| WarpEvent::Halt),
+        ("bar", |i| matches!(i, Instr::Bar { .. }), false, &|_| ctl.clone()),
+        ("wspawn", |i| matches!(i, Instr::Wspawn { .. }), false, &|_| bar.clone()),
+        ("tmc", |i| matches!(i, Instr::Tmc { .. }), false, &|_| wspawn.clone()),
+    ];
+    for (family, is, want_span, wrong) in cases {
+        let (w, k, pc) = (0..2)
+            .find_map(|w| {
+                let consumers = consumers(w);
+                assert_eq!(consumers.len(), launch.streams()[w].len(), "warp {w}");
+                let k = consumers.iter().zip(&launch.streams()[w]).position(|(e, ev)| {
+                    is(&e.instr) && (!e.instr.is_mem() || span(ev) == want_span)
+                })?;
+                Some((w, k, consumers[k].pc))
+            })
+            .unwrap_or_else(|| panic!("the program has no {family}"));
+        let mut streams = launch.streams().to_vec();
+        streams[w][k] = wrong(&streams[w][k]);
+        let bad = LaunchRecord::from_streams(launch.warps(), streams);
+        let err = fresh().run_replay::<NullSink>(100_000, None, &bad, &mut bad.cursor());
+        assert_eq!(err, Err(SimError::ReplayDiverged { core: 0, warp: w, pc }), "{family}");
+    }
 }

@@ -28,15 +28,6 @@ pub struct MemConfig {
     pub l2_interval: u64,
     /// DRAM channel parameters.
     pub dram: DramConfig,
-    /// Experimental per-core line-result memo: a batched **load** whose
-    /// line hit L1 within the same memo window skips the tag walk and
-    /// reuses the hit verdict. **Not timing-model-neutral**: a skipped tag
-    /// walk does not advance the LRU clock or the hit counters, so cache
-    /// statistics (and, through LRU order, eventual evictions) diverge
-    /// from the reference model — see the ROADMAP findings. Off by
-    /// default; flip only for experiments that tolerate approximate cache
-    /// statistics.
-    pub l1_line_memo: bool,
 }
 
 impl Default for MemConfig {
@@ -50,7 +41,6 @@ impl Default for MemConfig {
             l2_latency: 20,
             l2_interval: 1,
             dram: DramConfig::default(),
-            l1_line_memo: false,
         }
     }
 }
@@ -94,22 +84,6 @@ pub struct BatchOutcome {
     pub port_slots: Cycle,
 }
 
-/// Per-core line-result memo entry (`l1_line_memo`): line id and memo
-/// window of a recent L1 **load hit**.
-#[derive(Copy, Clone, Debug)]
-struct MemoEntry {
-    /// Line id, `u64::MAX` when empty (cannot collide with a 32-bit id).
-    line: u64,
-    /// `now >> MEMO_WINDOW_SHIFT` at the time of the hit.
-    window: Cycle,
-}
-
-const MEMO_EMPTY: MemoEntry = MemoEntry { line: u64::MAX, window: 0 };
-/// Direct-mapped memo entries per core (power of two).
-const MEMO_WAYS: usize = 32;
-/// Memo window: hits are reusable for `2^4 = 16` cycles.
-const MEMO_WINDOW_SHIFT: u32 = 4;
-
 /// The timing model of the memory hierarchy.
 ///
 /// The primary entry point is [`access_batch`](MemSystem::access_batch):
@@ -147,9 +121,6 @@ pub struct MemSystem {
     dram: DramChannel,
     loads: u64,
     stores: u64,
-    /// Per-core direct-mapped memo tables, `MEMO_WAYS` entries per core;
-    /// empty when `l1_line_memo` is off.
-    memo: Vec<MemoEntry>,
     /// Core ids that served at least one line since the last reset, in
     /// first-touch order: reset sweeps and stat aggregation walk this
     /// list instead of the topology, so an idle core's L1 costs zero
@@ -253,11 +224,6 @@ impl MemSystem {
             dram: DramChannel::new(config.dram),
             loads: 0,
             stores: 0,
-            memo: if config.l1_line_memo {
-                vec![MEMO_EMPTY; num_cores * MEMO_WAYS]
-            } else {
-                Vec::new()
-            },
             touched: Vec::new(),
             l1_touched: vec![false; num_cores],
             port_accesses: vec![0; num_cores],
@@ -440,18 +406,12 @@ impl MemSystem {
         }
         let banks = self.config.l1_banks.max(1) as usize;
         let l1_latency = self.config.l1_latency;
-        let memo_on = self.config.l1_line_memo && !is_store;
         // Disjoint field borrows: the L1 being walked on one side, the
         // downstream L2/DRAM legs (reborrowed per miss) on the other.
         let l1 = &mut self.l1s[core];
         let geom = l1.geometry();
         let (l2, slots, dram) = (&mut self.l2, &mut self.l2_next_slot, &mut self.dram);
         let (l2_latency, l2_interval) = (self.config.l2_latency, self.config.l2_interval);
-        let memo = if memo_on {
-            &mut self.memo[core * MEMO_WAYS..(core + 1) * MEMO_WAYS]
-        } else {
-            &mut []
-        };
 
         let mut completion = now;
         // The L1 accepts `banks` lines per cycle; `at` advances one cycle
@@ -474,31 +434,9 @@ impl MemSystem {
                 };
                 down.miss(line_addr, writeback, l1_done)
             };
-            let done = if memo_on {
-                let window = at >> MEMO_WINDOW_SHIFT;
-                let entry = &mut memo[line as usize & (MEMO_WAYS - 1)];
-                if entry.line == u64::from(line) && entry.window == window {
-                    // Memoised same-window hit: skip the tag walk
-                    // entirely (this is the statistics divergence the
-                    // `l1_line_memo` docs warn about).
-                    at + l1_latency
-                } else {
-                    match l1.access_line(line, false) {
-                        Lookup::Hit => {
-                            *entry = MemoEntry { line: u64::from(line), window };
-                            at + l1_latency
-                        }
-                        Lookup::Miss { writeback } => {
-                            *entry = MEMO_EMPTY;
-                            miss(writeback, at + l1_latency)
-                        }
-                    }
-                }
-            } else {
-                match l1.access_line(line, is_store) {
-                    Lookup::Hit => at + l1_latency,
-                    Lookup::Miss { writeback } => miss(writeback, at + l1_latency),
-                }
+            let done = match l1.access_line(line, is_store) {
+                Lookup::Hit => at + l1_latency,
+                Lookup::Miss { writeback } => miss(writeback, at + l1_latency),
             };
             if let Some(buf) = completions.as_deref_mut() {
                 buf.push(done);
@@ -595,7 +533,6 @@ impl MemSystem {
         self.dram.reset();
         self.loads = 0;
         self.stores = 0;
-        self.memo.fill(MEMO_EMPTY);
         swept
     }
 }
@@ -893,59 +830,6 @@ mod tests {
         let out = s.access_batch_into(0, &lines, 0, false, &mut completions);
         assert_eq!(out.port_slots, 3); // ceil(10 / 4)
         assert_eq!(completions.len(), 10);
-    }
-
-    // ------------------------------------------------------------------
-    // Line-result memo (`l1_line_memo`).
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn memo_repeated_same_window_hits_agree_but_stats_diverge() {
-        let config = MemConfig { l1_line_memo: true, ..Default::default() };
-        let mut memoed = MemSystem::new(1, config);
-        let mut plain = sys(1);
-        let lines = [0x4000u32];
-        let mut c1 = Vec::new();
-        let mut c2 = Vec::new();
-        // Warm the line, then re-access it twice inside one memo window.
-        for now in [0, 100, 104] {
-            memoed.access_batch_into(0, &lines, now, false, &mut c1);
-            plain.access_batch_into(0, &lines, now, false, &mut c2);
-            assert_eq!(c1, c2, "memoised completions must not drift at cycle {now}");
-        }
-        // The memo skipped the third tag walk: one fewer L1 hit recorded.
-        // This statistics divergence is why the flag defaults to off.
-        assert_eq!(plain.stats().l1.hits, 2);
-        assert_eq!(memoed.stats().l1.hits, 1);
-    }
-
-    #[test]
-    fn memo_expires_across_windows() {
-        let config = MemConfig { l1_line_memo: true, ..Default::default() };
-        let mut s = MemSystem::new(1, config);
-        let lines = [0x4000u32];
-        let mut c = Vec::new();
-        s.access_batch_into(0, &lines, 0, false, &mut c); // cold fill
-        s.access_batch_into(0, &lines, 4, false, &mut c); // hit, memoised
-        let w0 = 1u64 << MEMO_WINDOW_SHIFT; // first cycle of the next window
-        s.access_batch_into(0, &lines, w0, false, &mut c);
-        assert_eq!(c, [w0 + s.config().l1_latency]);
-        // The window boundary forced a real tag walk: both hits counted.
-        assert_eq!(s.stats().l1.hits, 2);
-    }
-
-    #[test]
-    fn memo_reset_clears_entries() {
-        let config = MemConfig { l1_line_memo: true, ..Default::default() };
-        let mut s = MemSystem::new(1, config);
-        let mut c = Vec::new();
-        s.access_batch_into(0, &[0x4000], 0, false, &mut c);
-        s.access_batch_into(0, &[0x4000], 4, false, &mut c);
-        s.reset();
-        // Post-reset the line is cold again; a memo survivor would have
-        // claimed an L1-hit latency.
-        s.access_batch_into(0, &[0x4000], 4, false, &mut c);
-        assert!(c[0] > 4 + s.config().l1_latency);
     }
 
     // ------------------------------------------------------------------

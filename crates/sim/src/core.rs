@@ -1,6 +1,14 @@
 //! One SIMT core: warp scheduling, hazard checking and instruction
 //! execution.
 //!
+//! Every instruction takes one walk ([`Core::issue`]): an **outcome
+//! step** decides what the instruction did — by *executing* it (row
+//! kernels + functional memory, [`Core::execute`]) or by reading the
+//! warp's *recorded* stream ([`Outcome::recorded`]) — and a **shared
+//! tail** times it: write-back register and latency, control gap,
+//! barriers, warp spawns and the memory-system walk exist exactly once,
+//! so record and replay cannot drift apart.
+//!
 //! The execute loops are written against the core-owned lane-major
 //! register file ([`RegFile`]): each opcode arm materialises its source
 //! rows (a contiguous `threads`-word copy into a stack buffer, which also
@@ -21,7 +29,6 @@ use crate::config::TimingConfig;
 use crate::counters::DeviceCounters;
 use crate::decoded::{DecodedInstr, InstrMeta};
 use crate::error::SimError;
-use crate::exec::block::{BlockPlan, Step, StepOp};
 use crate::exec::span::{self, Span};
 use crate::exec::tables;
 use crate::exec::{BinKernel, FmaKernel, ImmKernel, UnKernel};
@@ -50,17 +57,124 @@ pub(crate) struct CoreCtx<'a, S: TraceSink + ?Sized> {
     pub horizon: &'a mut Cycle,
     /// Cache-line size (hoisted from the memory system once per run).
     pub line_bytes: u32,
-    /// The program's fused basic-block plan (see
-    /// [`BlockPlan`](crate::exec::block::BlockPlan)).
-    pub blocks: &'a BlockPlan,
-    /// Whether the fused block dispatch path is enabled (A/B switch for
-    /// the bit-identity gate; cycle results are identical either way).
-    pub fuse: bool,
-    /// When set, the run is a *replay*: [`Core::issue`] consumes recorded
-    /// [`WarpEvent`]s instead of executing row kernels — scheduling,
-    /// hazards and memory-system timing run unchanged off trace-visible
-    /// data, so cycles and counters are bit-identical to execute mode.
+    /// The outcome source: `None` executes, `Some` reads each warp's
+    /// recorded [`WarpEvent`] stream (a *replay* run). Scheduling,
+    /// hazards and memory-system timing are the same code either way, so
+    /// cycles and counters are bit-identical.
     pub replay: Option<ReplayCtx<'a>>,
+}
+
+/// What one issued instruction did that its timing depends on and the
+/// decoded instruction alone cannot tell — the value handed from the
+/// outcome step to the shared tail of [`Core::issue`]. Mirrors
+/// [`WarpEvent`] but borrows its lane addresses, so the execute path
+/// never allocates.
+#[derive(Copy, Clone)]
+enum Outcome<'a> {
+    /// Nothing value-dependent: fall-through (or the static `jal` target).
+    Static,
+    /// PC and thread mask after a branch, `jalr`, split, join or
+    /// non-zero `tmc`.
+    Ctl {
+        next_pc: u32,
+        tmask: u32,
+    },
+    /// `tmc` to an empty mask.
+    Halt,
+    Wspawn {
+        count: u32,
+        target: u32,
+    },
+    Bar {
+        id: u32,
+        count: u32,
+    },
+    /// A contiguous ascending span of lane addresses.
+    MemSpan {
+        addr0: u32,
+        last: u32,
+    },
+    /// A gather/scatter: `addrs[l]` for every set bit `l` of `lanes`
+    /// (lane-indexed under the thread mask when executed, the compact
+    /// recorded list under a low-bits mask when replayed).
+    MemLanes {
+        addrs: &'a [u32],
+        lanes: u32,
+    },
+}
+
+impl<'a> Outcome<'a> {
+    /// The *recorded* outcome source. Instructions with no value-dependent
+    /// outcome consume nothing; every other family takes the warp's next
+    /// event, which must be of a kind that family produces (`store`
+    /// flags included). `None` when the stream is exhausted or holds
+    /// another kind — the replayed run has diverged from the recording.
+    fn recorded(
+        instr: Instr,
+        meta: &InstrMeta,
+        replay: &mut ReplayCtx<'a>,
+        core: usize,
+        warp: usize,
+    ) -> Option<Self> {
+        use Instr::{Bar, Branch, Jalr, Join, Split, Tmc, Wspawn};
+        let ctl = matches!(instr, Branch { .. } | Jalr { .. } | Split { .. } | Join | Tmc { .. });
+        if !(ctl || meta.is_mem || matches!(instr, Wspawn { .. } | Bar { .. })) {
+            return Some(Outcome::Static);
+        }
+        let is_store = meta.class == ExecClass::Store;
+        match (instr, replay.next(core, warp)?) {
+            (_, &WarpEvent::Ctl { next_pc, tmask }) if ctl => Some(Outcome::Ctl { next_pc, tmask }),
+            (Tmc { .. }, WarpEvent::Halt) => Some(Outcome::Halt),
+            (Wspawn { .. }, &WarpEvent::Wspawn { count, target }) => {
+                Some(Outcome::Wspawn { count, target })
+            }
+            (Bar { .. }, &WarpEvent::Bar { id, count }) => Some(Outcome::Bar { id, count }),
+            (_, &WarpEvent::MemSpan { addr0, last, store }) if meta.is_mem && store == is_store => {
+                Some(Outcome::MemSpan { addr0, last })
+            }
+            (_, WarpEvent::MemLanes { addrs, store })
+                if meta.is_mem && *store == is_store && addrs.len() <= 32 =>
+            {
+                let lanes = u32::MAX.checked_shr(32 - addrs.len() as u32).unwrap_or(0);
+                Some(Outcome::MemLanes { addrs, lanes })
+            }
+            _ => None,
+        }
+    }
+
+    /// The trace record of this outcome (`None` for [`Outcome::Static`]).
+    /// Only built when a recording sink asks: the lane list is the one
+    /// allocation of the walk. Lane addresses are recorded
+    /// *pre-coalescing*, in lane order — replay re-coalesces against its
+    /// own line size, so the trace stays valid across cache geometries.
+    fn event(self, store: bool) -> Option<WarpEvent> {
+        Some(match self {
+            Outcome::Static => return None,
+            Outcome::Ctl { next_pc, tmask } => WarpEvent::Ctl { next_pc, tmask },
+            Outcome::Halt => WarpEvent::Halt,
+            Outcome::Wspawn { count, target } => WarpEvent::Wspawn { count, target },
+            Outcome::Bar { id, count } => WarpEvent::Bar { id, count },
+            Outcome::MemSpan { addr0, last } => WarpEvent::MemSpan { addr0, last, store },
+            Outcome::MemLanes { addrs, lanes } => {
+                let mut list = Vec::with_capacity(lanes.count_ones() as usize);
+                list.extend(set_lanes(addrs, lanes));
+                WarpEvent::MemLanes { addrs: list, store }
+            }
+        })
+    }
+}
+
+/// `addrs[l]` for every set bit `l` of `lanes`, ascending: cost scales
+/// with active lanes, not with the 32-lane SIMT width.
+fn set_lanes(addrs: &[u32], mut lanes: u32) -> impl Iterator<Item = u32> + '_ {
+    std::iter::from_fn(move || {
+        if lanes == 0 {
+            return None;
+        }
+        let l = lanes.trailing_zeros() as usize;
+        lanes &= lanes - 1;
+        Some(addrs[l])
+    })
 }
 
 #[derive(Debug, Default)]
@@ -94,23 +208,24 @@ struct NextIssue {
     /// register hazards). Warp-local state cannot change while the warp is
     /// dormant, so this stays exact until the warp issues again.
     t_local: Cycle,
-    /// Whether the instruction also contends for the memory port
-    /// (`mem_port_free` moves when *other* warps issue, so it is folded in
-    /// at wake time rather than cached).
-    is_mem: bool,
     /// Whether the entry is usable at all.
     valid: bool,
 }
 
 impl NextIssue {
-    const INVALID: NextIssue = NextIssue {
-        instr: Instr::Join,
-        meta: InstrMeta::INVALID,
-        pc: 0,
-        t_local: 0,
-        is_mem: false,
-        valid: false,
-    };
+    const INVALID: NextIssue =
+        NextIssue { instr: Instr::Join, meta: InstrMeta::INVALID, pc: 0, t_local: 0, valid: false };
+
+    /// Earliest issue cycle with the memory-port structural hazard folded
+    /// in (`mem_port_free` moves when *other* warps issue, so it cannot
+    /// be cached per warp).
+    fn due(&self, mem_port_free: Cycle) -> Cycle {
+        if self.meta.is_mem {
+            self.t_local.max(mem_port_free)
+        } else {
+            self.t_local
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -263,25 +378,36 @@ impl Core {
         ctx: &CoreCtx<'_, S>,
     ) -> Result<(Instr, InstrMeta, Cycle), SimError> {
         let cached = self.next_issue[w];
-        if cached.valid && cached.pc == self.warps[w].pc {
-            let t =
-                if cached.is_mem { cached.t_local.max(self.mem_port_free) } else { cached.t_local };
-            return Ok((cached.instr, cached.meta, t));
-        }
+        let t = if cached.valid && cached.pc == self.warps[w].pc {
+            cached.due(self.mem_port_free)
+        } else {
+            self.fill_next(w, ctx)?
+        };
+        let NextIssue { instr, meta, .. } = self.next_issue[w];
+        Ok((instr, meta, t))
+    }
+
+    /// Fetches warp `w`'s next instruction, resolves its warp-local
+    /// hazards and caches both; returns its earliest issue cycle.
+    fn fill_next<S: TraceSink + ?Sized>(
+        &mut self,
+        w: usize,
+        ctx: &CoreCtx<'_, S>,
+    ) -> Result<Cycle, SimError> {
         let (instr, meta) = self.fetch(w, ctx)?;
         let t_local = self.earliest_issue_local(w, &meta);
-        let is_mem = meta.is_mem;
-        self.next_issue[w] =
-            NextIssue { instr, meta, pc: self.warps[w].pc, t_local, is_mem, valid: true };
-        let t = if is_mem { t_local.max(self.mem_port_free) } else { t_local };
-        Ok((instr, meta, t))
+        let next = NextIssue { instr, meta, pc: self.warps[w].pc, t_local, valid: true };
+        self.next_issue[w] = next;
+        Ok(next.due(self.mem_port_free))
     }
 
     /// Eagerly prepares warp `w`'s next wake-up after it issued: fetch the
     /// next instruction, resolve its hazards, and point `warp_next` at the
-    /// exact issue cycle so no intermediate scheduler steps are wasted. A
-    /// fetch failure is deliberately swallowed — the warp wakes at its
-    /// control-gap bound and the error surfaces on that scheduled scan.
+    /// exact issue cycle so no intermediate scheduler steps are wasted
+    /// (`mem_port_free` only grows, so folding today's value in keeps
+    /// `warp_next` a valid lower bound). A fetch failure is deliberately
+    /// swallowed — the warp wakes at its control-gap bound and the error
+    /// surfaces on that scheduled scan.
     /// Note this can report a fault a few cycles later than the seed
     /// scheduler did (which fetched even not-yet-ready warps on every
     /// step), and a `max_cycles` limit falling inside that gap yields
@@ -291,21 +417,13 @@ impl Core {
         if !self.warps[w].schedulable() {
             return;
         }
-        match self.fetch(w, ctx) {
-            Ok((instr, meta)) => {
-                let t_local = self.earliest_issue_local(w, &meta);
-                let is_mem = meta.is_mem;
-                self.next_issue[w] =
-                    NextIssue { instr, meta, pc: self.warps[w].pc, t_local, is_mem, valid: true };
-                // `mem_port_free` only grows, so folding today's value in
-                // keeps `warp_next` a valid lower bound.
-                self.warp_next[w] = if is_mem { t_local.max(self.mem_port_free) } else { t_local };
-            }
+        self.warp_next[w] = match self.fill_next(w, ctx) {
+            Ok(t) => t,
             Err(_) => {
                 self.next_issue[w].valid = false;
-                self.warp_next[w] = self.warps[w].ready_at;
+                self.warps[w].ready_at
             }
-        }
+        };
     }
 
     /// Runs this core from cycle `start` until its next internal event
@@ -353,24 +471,6 @@ impl Core {
                 }
                 let (instr, meta, t) = self.next_for(w, ctx)?;
                 if t <= now {
-                    // Fused block dispatch: when the warp sits at the
-                    // start of a precompiled basic block whose schedule
-                    // fits strictly inside this core's uncontested window,
-                    // the whole run executes here in one walk — same issue
-                    // cycles, write-backs, counters and trace events as
-                    // the per-instruction loop below, minus its per-cycle
-                    // scheduler rounds (see [`Core::fuse_block`]).
-                    if ctx.fuse {
-                        if let Some(end) = self.fuse_block(w, now, horizon, ctx) {
-                            self.last_issued = w;
-                            self.refresh_after_issue(w, ctx);
-                            now = end;
-                            *clock = now;
-                            issued = true;
-                            issued_next = self.warp_next[w];
-                            break;
-                        }
-                    }
                     self.issue(w, instr, &meta, now, ctx)?;
                     self.last_issued = w;
                     self.refresh_after_issue(w, ctx);
@@ -416,7 +516,16 @@ impl Core {
         }
     }
 
-    /// Executes `instr` for warp `w` at cycle `now`.
+    /// Issues `instr` for warp `w` at cycle `now` — the one
+    /// per-instruction walk of the in-order SIMT pipe.
+    ///
+    /// The **outcome step** asks the run's outcome source what the
+    /// instruction did: [`Core::execute`] computes it, or
+    /// [`Outcome::recorded`] reads it off the warp's stream (register and
+    /// memory *values* are then not maintained, and the
+    /// uniformity/divergence checks the recorded run already passed are
+    /// skipped). The **shared tail** turns that outcome into timing — so
+    /// cycles and counters cannot depend on which source ran.
     fn issue<S: TraceSink + ?Sized>(
         &mut self,
         w: usize,
@@ -425,16 +534,8 @@ impl Core {
         now: Cycle,
         ctx: &mut CoreCtx<'_, S>,
     ) -> Result<(), SimError> {
-        // A replay run consumes recorded outcomes instead of executing
-        // row kernels; the twin issues with identical timing.
-        if ctx.replay.is_some() {
-            return self.issue_replay(w, instr, meta, now, ctx);
-        }
         let pc = self.warps[w].pc;
         let tmask = self.warps[w].tmask;
-        // Whether every lane participates: selects the branch-free
-        // contiguous row loops over the masked set-bit walks.
-        let full = tmask == self.warps[w].full_mask();
 
         ctx.counters.instructions += 1;
         ctx.counters.lane_instructions += u64::from(tmask.count_ones());
@@ -443,9 +544,175 @@ impl Core {
             sink.on_issue(&IssueEvent { cycle: now, core: self.id, warp: w, pc, tmask, instr });
         }
 
+        // Lane-address scratch of the execute source (a recorded outcome
+        // borrows the record's own list, so a replay never zeroes it).
+        let mut lane_addrs;
+        let out = match ctx.replay.as_mut() {
+            Some(replay) => Outcome::recorded(instr, meta, replay, self.id, w)
+                .ok_or(SimError::ReplayDiverged { core: self.id, warp: w, pc })?,
+            None => {
+                lane_addrs = [0u32; 32];
+                self.execute(w, instr, now, &mut lane_addrs, ctx)?
+            }
+        };
+
+        let is_store = meta.class == ExecClass::Store;
+        if let Some(sink) = ctx.trace.as_mut() {
+            if sink.wants_warp_events() {
+                if let Some(event) = out.event(is_store) {
+                    sink.on_warp_event(self.id, w, &event);
+                }
+            }
+        }
+
         let timing = ctx.timing;
         let mut next_pc = pc.wrapping_add(4);
-        let mut halted = false;
+        // Completion cycle of the instruction's memory access, if any.
+        let mut completion = 0;
+        match out {
+            Outcome::Static => {
+                if let Instr::Jal { offset, .. } = instr {
+                    next_pc = pc.wrapping_add(offset as u32);
+                }
+            }
+            Outcome::Ctl { next_pc: target, tmask } => {
+                self.warps[w].tmask = tmask;
+                next_pc = target;
+            }
+            Outcome::Halt => {
+                self.warps[w].halt();
+                self.warp_next[w] = NEVER;
+                return Ok(());
+            }
+            Outcome::Wspawn { count, target } => {
+                if count as usize > self.warps.len() {
+                    return Err(SimError::WspawnTooManyWarps {
+                        requested: count,
+                        available: self.warps.len(),
+                    });
+                }
+                self.activate_round(w, count as usize, target, now + timing.wspawn);
+            }
+            Outcome::Bar { id, count } => {
+                self.warps[w].pc = next_pc;
+                let state = self.barriers.entry(id).or_default();
+                state.arrived.push(w);
+                if state.arrived.len() >= count as usize {
+                    // Warp `w` is among the released warps.
+                    let released = self.barriers.remove(&id).expect("just inserted");
+                    for rw in released.arrived {
+                        self.warps[rw].at_barrier = None;
+                        self.warps[rw].ready_at = now + timing.barrier;
+                        self.warp_next[rw] = now + timing.barrier;
+                        self.next_issue[rw].valid = false;
+                    }
+                } else {
+                    self.warps[w].at_barrier = Some(id);
+                    self.warps[w].ready_at = NEVER;
+                    self.warp_next[w] = NEVER;
+                }
+                return Ok(());
+            }
+            // One SIMT memory instruction is one walk of the hierarchy
+            // (L1 bank serialisation, L2 bandwidth slots and DRAM
+            // queueing all happen inside it). A contiguous span's
+            // coalesced line sequence is exactly the ascending run of
+            // line bases it covers, generated arithmetically
+            // ([`MemSystem::access_span`]); a lane set is coalesced
+            // against *this* run's line size first.
+            Outcome::MemSpan { addr0, last } => {
+                let mem = ctx.memsys.access_span(self.id, addr0, last, now, is_store);
+                self.mem_port_free = now + mem.port_slots;
+                *ctx.horizon = (*ctx.horizon).max(mem.completion);
+                completion = mem.completion;
+            }
+            Outcome::MemLanes { addrs, lanes } => {
+                let lines = coalesce_lines(set_lanes(addrs, lanes), ctx.line_bytes);
+                let mem = ctx.memsys.access_batch(self.id, lines.as_slice(), now, is_store);
+                self.mem_port_free = now + mem.port_slots;
+                if !lines.is_empty() {
+                    *ctx.horizon = (*ctx.horizon).max(mem.completion);
+                }
+                completion = mem.completion;
+            }
+        }
+
+        // When the destination (`meta.dst`) becomes readable. Keyed on the
+        // *instruction*, not the exec class: `vote`/`csr` write at ALU
+        // latency despite their classes, FP compares/converts write
+        // integer registers at FPU latency.
+        let ready = match instr {
+            Instr::Lui { .. }
+            | Instr::Auipc { .. }
+            | Instr::Jal { .. }
+            | Instr::Jalr { .. }
+            | Instr::OpImm { .. }
+            | Instr::Csr { .. }
+            | Instr::Vote { .. } => now + timing.alu,
+            Instr::Op { .. } => {
+                now + match meta.class {
+                    ExecClass::Mul => timing.mul,
+                    ExecClass::Div => timing.div,
+                    _ => timing.alu,
+                }
+            }
+            Instr::Load { .. } | Instr::Flw { .. } => completion,
+            Instr::FpOp { op: FpBinOp::Div, .. } => now + timing.fdiv,
+            Instr::FpSqrt { .. } => now + timing.fsqrt,
+            Instr::FpOp { .. }
+            | Instr::FpFma { .. }
+            | Instr::FpCmp { .. }
+            | Instr::FpCvtToInt { .. }
+            | Instr::FpCvtFromInt { .. }
+            | Instr::FpMvToInt { .. }
+            | Instr::FpMvFromInt { .. }
+            | Instr::FpClass { .. } => now + timing.fpu,
+            Instr::Ecall => return Err(SimError::Trap { pc, breakpoint: false }),
+            Instr::Ebreak => return Err(SimError::Trap { pc, breakpoint: true }),
+            // No destination register.
+            Instr::Branch { .. }
+            | Instr::Store { .. }
+            | Instr::Fsw { .. }
+            | Instr::Fence
+            | Instr::Tmc { .. }
+            | Instr::Wspawn { .. }
+            | Instr::Split { .. }
+            | Instr::Join
+            | Instr::Bar { .. } => 0,
+        };
+        if meta.dst != 0 {
+            self.rf.set_busy(w, meta.dst as usize, ready);
+        }
+
+        let taken = next_pc != pc.wrapping_add(4);
+        let gap = if taken && meta.is_control { 1 + timing.branch_bubble } else { 1 };
+        self.warps[w].pc = next_pc;
+        self.warps[w].ready_at = now + gap;
+        // `ready_at` ignores the next instruction's register hazards,
+        // so it is a valid (early) lower bound for the skip cache.
+        self.warp_next[w] = now + gap;
+        Ok(())
+    }
+
+    /// The *execute* outcome source: applies `instr`'s architectural
+    /// effect — row kernels over the register file, functional memory,
+    /// the divergence stack — and reports what the shared tail of
+    /// [`Core::issue`] must time. Touches no timing state. `addrs` is the
+    /// caller's lane-address scratch a [`Outcome::MemLanes`] borrows.
+    fn execute<'o, S: TraceSink + ?Sized>(
+        &mut self,
+        w: usize,
+        instr: Instr,
+        now: Cycle,
+        addrs: &'o mut [u32; 32],
+        ctx: &mut CoreCtx<'_, S>,
+    ) -> Result<Outcome<'o>, SimError> {
+        let pc = self.warps[w].pc;
+        let tmask = self.warps[w].tmask;
+        // Whether every lane participates: selects the branch-free
+        // contiguous row loops over the masked set-bit walks.
+        let full = tmask == self.warps[w].full_mask();
+        let fall_through = pc.wrapping_add(4);
 
         // Walks the active lanes of `tmask` (cost scales with set bits,
         // not the warp width).
@@ -459,36 +726,18 @@ impl Core {
                 }
             }};
         }
-        // Fills the destination row `$dense` with `$val` (an expression of
-        // the lane index): a contiguous pass under a full mask, a set-bit
-        // walk otherwise. `$val` must not touch `self` — sources are
-        // snapshot into stack buffers first (`RegFile::copy_row`).
-        macro_rules! write_row {
-            ($dense:expr, |$l:ident| $val:expr) => {{
-                let dst = self.rf.row_mut(w, $dense);
-                if full {
-                    for $l in 0..dst.len() {
-                        dst[$l] = $val;
+        // Every active lane's address `base[l] + offset` into `addrs`,
+        // validated first: the lowest misaligned lane faults.
+        macro_rules! lane_addrs {
+            ($rs1:expr, $offset:expr, $align:expr) => {{
+                let base = self.rf.row(w, $rs1.num() as usize);
+                for_lanes!(|l| {
+                    let addr = base[l].wrapping_add($offset as u32);
+                    if addr & ($align - 1) != 0 {
+                        return Err(SimError::MisalignedAccess { pc, addr, align: $align });
                     }
-                } else {
-                    for_lanes!(|$l| dst[$l] = $val);
-                }
-            }};
-        }
-        // The row-kernel application paths (broadcast, binary, immediate,
-        // unary, FMA, div/rem strength reduction) are shared methods —
-        // `broadcast_k`, `run_bin_k`, … — because the fused block walk
-        // ([`Core::exec_step`]) dispatches to exactly the same code.
-        macro_rules! wb_int {
-            ($rd:expr, $lat:expr) => {{
-                if !$rd.is_zero() {
-                    self.rf.set_busy(w, $rd.num() as usize, now + $lat);
-                }
-            }};
-        }
-        macro_rules! wb_fp {
-            ($rd:expr, $lat:expr) => {{
-                self.rf.set_busy(w, FP_BASE + $rd.num() as usize, now + $lat);
+                    addrs[l] = addr;
+                });
             }};
         }
 
@@ -497,75 +746,49 @@ impl Core {
                 if !rd.is_zero() {
                     self.broadcast_k(w, full, tmask, rd.num() as usize, imm as u32);
                 }
-                wb_int!(rd, timing.alu);
             }
             Instr::Auipc { rd, imm } => {
                 if !rd.is_zero() {
-                    self.broadcast_k(
-                        w,
-                        full,
-                        tmask,
-                        rd.num() as usize,
-                        pc.wrapping_add(imm as u32),
-                    );
+                    let v = pc.wrapping_add(imm as u32);
+                    self.broadcast_k(w, full, tmask, rd.num() as usize, v);
                 }
-                wb_int!(rd, timing.alu);
             }
-            Instr::Jal { rd, offset } => {
+            Instr::Jal { rd, .. } => {
                 if !rd.is_zero() {
-                    self.broadcast_k(w, full, tmask, rd.num() as usize, pc.wrapping_add(4));
+                    self.broadcast_k(w, full, tmask, rd.num() as usize, fall_through);
                 }
-                wb_int!(rd, timing.alu);
-                next_pc = pc.wrapping_add(offset as u32);
             }
             Instr::Jalr { rd, rs1, offset } => {
                 let base = self.uniform(w, rs1, pc)?;
                 if !rd.is_zero() {
-                    self.broadcast_k(w, full, tmask, rd.num() as usize, pc.wrapping_add(4));
+                    self.broadcast_k(w, full, tmask, rd.num() as usize, fall_through);
                 }
-                wb_int!(rd, timing.alu);
-                next_pc = base.wrapping_add(offset as u32) & !1;
+                return Ok(Outcome::Ctl { next_pc: base.wrapping_add(offset as u32) & !1, tmask });
             }
             Instr::Branch { op, rs1, rs2, offset } => {
                 let ra = self.rf.row(w, rs1.num() as usize);
                 let rb = self.rf.row(w, rs2.num() as usize);
                 let k = tables::branch_kernel(op);
                 let ballot = if full { (k.full)(ra, rb) } else { (k.masked)(ra, rb, tmask) };
-                if ballot != 0 {
-                    if ballot != tmask {
-                        return Err(SimError::DivergentBranch { core: self.id, warp: w, pc });
-                    }
-                    next_pc = pc.wrapping_add(offset as u32);
+                if ballot != 0 && ballot != tmask {
+                    return Err(SimError::DivergentBranch { core: self.id, warp: w, pc });
                 }
+                let next_pc =
+                    if ballot != 0 { pc.wrapping_add(offset as u32) } else { fall_through };
+                return Ok(Outcome::Ctl { next_pc, tmask });
             }
-            Instr::Load { width, rd, rs1, offset } => 'load: {
-                let (bytes, _) = load_width_bytes(width);
-                let mut addrs = [0u32; 32];
+            Instr::Load { width, rd, rs1, offset } => {
                 // Full-mask word-load fast paths for the two dominant SIMT
-                // shapes — broadcast and unit-stride — via the shared
-                // helper (see [`Core::fast_word_load`]). Only this path
-                // snapshots the base row (the helper needs `&mut self`).
+                // shapes — broadcast and unit-stride (see
+                // [`Core::fast_word_load`]).
                 if full && !rd.is_zero() && matches!(width, LoadWidth::Word) {
-                    let mut base = [0u32; 32];
-                    let _ = self.rf.copy_row(w, rs1.num() as usize, &mut base);
-                    if self.fast_word_load(w, rd.num() as usize, &base, offset, pc, now, ctx)? {
-                        break 'load;
+                    if let Some(span) =
+                        self.fast_word_load(w, rd.num() as usize, rs1.num() as usize, offset, ctx)?
+                    {
+                        return Ok(span);
                     }
                 }
-                // General paths read the base row in place: every active
-                // lane's address is validated first (fault on the lowest
-                // bad lane, as the fused loop did), which also ends the
-                // row borrow before the destination row is taken.
-                {
-                    let base = self.rf.row(w, rs1.num() as usize);
-                    for_lanes!(|l| {
-                        let addr = base[l].wrapping_add(offset as u32);
-                        if addr & (bytes - 1) != 0 {
-                            return Err(SimError::MisalignedAccess { pc, addr, align: bytes });
-                        }
-                        addrs[l] = addr;
-                    });
-                }
+                lane_addrs!(rs1, offset, load_width_bytes(width));
                 if rd.is_zero() {
                     // Address fault/timing only; x0 swallows the values.
                 } else if matches!(width, LoadWidth::Word) {
@@ -573,7 +796,7 @@ impl Core {
                     // reads page run by page run instead of one page walk
                     // per lane.
                     let dst = self.rf.row_mut(w, rd.num() as usize);
-                    ctx.mem.read_u32_gather(&addrs, tmask, dst);
+                    ctx.mem.read_u32_gather(addrs, tmask, dst);
                 } else {
                     let dst = self.rf.row_mut(w, rd.num() as usize);
                     for_lanes!(|l| {
@@ -587,104 +810,56 @@ impl Core {
                         };
                     });
                 }
-                let completion = self.memory_access(w, &addrs, tmask, false, now, ctx);
-                if !rd.is_zero() {
-                    self.rf.set_busy(w, rd.num() as usize, completion);
-                }
+                return Ok(Outcome::MemLanes { addrs: &addrs[..], lanes: tmask });
             }
-            Instr::Store { width, rs2, rs1, offset } => 'store: {
+            Instr::Store { width, rs2, rs1, offset } => {
+                // Unit-stride full-mask word stores take the shared bulk
+                // helper; broadcast stores stay on the lane loop (see
+                // [`Core::fast_word_store`]).
+                if full && matches!(width, StoreWidth::Word) {
+                    if let Some(span) =
+                        self.fast_word_store(w, rs1.num() as usize, rs2.num() as usize, offset, ctx)
+                    {
+                        return Ok(span);
+                    }
+                }
                 let bytes = match width {
                     StoreWidth::Byte => 1,
                     StoreWidth::Half => 2,
                     StoreWidth::Word => 4,
                 };
-                // Unit-stride full-mask word stores take the shared bulk
-                // helper; broadcast stores stay on the lane loop (see
-                // [`Core::fast_word_store`]).
-                if full
-                    && matches!(width, StoreWidth::Word)
-                    && self.fast_word_store(
-                        w,
-                        rs1.num() as usize,
-                        rs2.num() as usize,
-                        offset,
-                        now,
-                        ctx,
-                    )
-                {
-                    break 'store;
-                }
-                let mut addrs = [0u32; 32];
-                let base = self.rf.row(w, rs1.num() as usize);
+                lane_addrs!(rs1, offset, bytes);
                 let vals = self.rf.row(w, rs2.num() as usize);
-                for_lanes!(|l| {
-                    let addr = base[l].wrapping_add(offset as u32);
-                    if addr & (bytes - 1) != 0 {
-                        return Err(SimError::MisalignedAccess { pc, addr, align: bytes });
-                    }
-                    match width {
-                        StoreWidth::Byte => ctx.mem.write_u8(addr, vals[l] as u8),
-                        StoreWidth::Half => ctx.mem.write_u16(addr, vals[l] as u16),
-                        StoreWidth::Word => ctx.mem.write_u32(addr, vals[l]),
-                    }
-                    addrs[l] = addr;
+                for_lanes!(|l| match width {
+                    StoreWidth::Byte => ctx.mem.write_u8(addrs[l], vals[l] as u8),
+                    StoreWidth::Half => ctx.mem.write_u16(addrs[l], vals[l] as u16),
+                    StoreWidth::Word => ctx.mem.write_u32(addrs[l], vals[l]),
                 });
-                self.memory_access(w, &addrs, tmask, true, now, ctx);
+                return Ok(Outcome::MemLanes { addrs: &addrs[..], lanes: tmask });
             }
             Instr::OpImm { op, rd, rs1, imm } => {
                 if !rd.is_zero() {
-                    self.run_imm_k(
-                        w,
-                        full,
-                        tmask,
-                        tables::alu_imm_kernel(op),
-                        rd.num() as usize,
-                        rs1.num() as usize,
-                        imm,
-                    );
+                    let k = tables::alu_imm_kernel(op);
+                    self.run_imm_k(w, full, tmask, k, rd.num() as usize, rs1.num() as usize, imm);
                 }
-                wb_int!(rd, timing.alu);
             }
             Instr::Op { op, rd, rs1, rs2 } => {
                 if !rd.is_zero() {
+                    let k = tables::alu_kernel(op);
+                    let (d, s1, s2) = (rd.num() as usize, rs1.num() as usize, rs2.num() as usize);
                     if matches!(op, AluOp::Divu | AluOp::Remu) {
                         // Uniform power-of-two strength reduction (see
                         // [`Core::run_divrem_k`]).
-                        self.run_divrem_k(
-                            w,
-                            full,
-                            tmask,
-                            matches!(op, AluOp::Remu),
-                            tables::alu_kernel(op),
-                            rd.num() as usize,
-                            rs1.num() as usize,
-                            rs2.num() as usize,
-                        );
+                        let rem = matches!(op, AluOp::Remu);
+                        self.run_divrem_k(w, full, tmask, rem, k, d, s1, s2);
                     } else {
-                        self.run_bin_k(
-                            w,
-                            full,
-                            tmask,
-                            tables::alu_kernel(op),
-                            rd.num() as usize,
-                            rs1.num() as usize,
-                            rs2.num() as usize,
-                        );
+                        self.run_bin_k(w, full, tmask, k, d, s1, s2);
                     }
                 }
-                let lat = match meta.class {
-                    ExecClass::Mul => timing.mul,
-                    ExecClass::Div => timing.div,
-                    _ => timing.alu,
-                };
-                wb_int!(rd, lat);
             }
-            Instr::Fence => {}
-            Instr::Ecall => return Err(SimError::Trap { pc, breakpoint: false }),
-            Instr::Ebreak => return Err(SimError::Trap { pc, breakpoint: true }),
-            Instr::Csr { op: _, rd, src, csr } => {
+            Instr::Fence | Instr::Ecall | Instr::Ebreak => {}
+            Instr::Csr { op: _, rd, src: _, csr } => {
                 // All architectural CSRs are read-only; writes are ignored.
-                let _ = src;
                 // Timing-dependent CSR values poison cross-configuration
                 // replay; a recording sink taints the trace.
                 if csr == csrs::MCYCLE
@@ -699,120 +874,70 @@ impl Core {
                         }
                     }
                 }
-                if csr == csrs::THREAD_ID {
-                    if !rd.is_zero() {
-                        write_row!(rd.num() as usize, |l| l as u32);
-                    }
+                if rd.is_zero() {
+                    // x0 swallows the value.
+                } else if csr == csrs::THREAD_ID {
+                    let dst = self.rf.row_mut(w, rd.num() as usize);
+                    for_lanes!(|l| dst[l] = l as u32);
                 } else {
                     // Every other CSR is lane-invariant: resolve it once
                     // and broadcast instead of re-matching per lane.
                     let v = self.read_csr(csr, w, 0, now, ctx);
-                    if !rd.is_zero() {
-                        self.broadcast_k(w, full, tmask, rd.num() as usize, v);
-                    }
+                    self.broadcast_k(w, full, tmask, rd.num() as usize, v);
                 }
-                wb_int!(rd, timing.alu);
             }
-            Instr::Flw { rd, rs1, offset } => 'flw: {
-                let mut addrs = [0u32; 32];
-                // Broadcast / unit-stride fast paths via the shared
-                // helper, as for integer word loads.
+            Instr::Flw { rd, rs1, offset } => {
+                let dense = FP_BASE + rd.num() as usize;
+                // Broadcast / unit-stride fast paths, as for integer word
+                // loads; masked/strided gather otherwise.
                 if full {
-                    let mut base = [0u32; 32];
-                    let _ = self.rf.copy_row(w, rs1.num() as usize, &mut base);
-                    if self.fast_word_load(
-                        w,
-                        FP_BASE + rd.num() as usize,
-                        &base,
-                        offset,
-                        pc,
-                        now,
-                        ctx,
-                    )? {
-                        break 'flw;
+                    if let Some(span) =
+                        self.fast_word_load(w, dense, rs1.num() as usize, offset, ctx)?
+                    {
+                        return Ok(span);
                     }
                 }
-                // Masked/strided gather, as for integer word loads (the
-                // base row is read in place; validation ends its borrow).
-                {
-                    let base = self.rf.row(w, rs1.num() as usize);
-                    for_lanes!(|l| {
-                        let addr = base[l].wrapping_add(offset as u32);
-                        if addr & 3 != 0 {
-                            return Err(SimError::MisalignedAccess { pc, addr, align: 4 });
-                        }
-                        addrs[l] = addr;
-                    });
-                }
-                let dst = self.rf.row_mut(w, FP_BASE + rd.num() as usize);
-                ctx.mem.read_u32_gather(&addrs, tmask, dst);
-                let completion = self.memory_access(w, &addrs, tmask, false, now, ctx);
-                self.rf.set_busy(w, FP_BASE + rd.num() as usize, completion);
+                lane_addrs!(rs1, offset, 4);
+                ctx.mem.read_u32_gather(addrs, tmask, self.rf.row_mut(w, dense));
+                return Ok(Outcome::MemLanes { addrs: &addrs[..], lanes: tmask });
             }
-            Instr::Fsw { rs2, rs1, offset } => 'fsw: {
-                // Unit-stride full-mask bulk path via the shared helper,
-                // as for word stores.
-                if full
-                    && self.fast_word_store(
-                        w,
-                        rs1.num() as usize,
-                        FP_BASE + rs2.num() as usize,
-                        offset,
-                        now,
-                        ctx,
-                    )
-                {
-                    break 'fsw;
-                }
-                let mut addrs = [0u32; 32];
-                let base = self.rf.row(w, rs1.num() as usize);
-                let vals = self.rf.row(w, FP_BASE + rs2.num() as usize);
-                for_lanes!(|l| {
-                    let addr = base[l].wrapping_add(offset as u32);
-                    if addr & 3 != 0 {
-                        return Err(SimError::MisalignedAccess { pc, addr, align: 4 });
+            Instr::Fsw { rs2, rs1, offset } => {
+                let vals_dense = FP_BASE + rs2.num() as usize;
+                // Unit-stride full-mask bulk path, as for word stores.
+                if full {
+                    if let Some(span) =
+                        self.fast_word_store(w, rs1.num() as usize, vals_dense, offset, ctx)
+                    {
+                        return Ok(span);
                     }
-                    ctx.mem.write_u32(addr, vals[l]);
-                    addrs[l] = addr;
-                });
-                self.memory_access(w, &addrs, tmask, true, now, ctx);
+                }
+                lane_addrs!(rs1, offset, 4);
+                let vals = self.rf.row(w, vals_dense);
+                for_lanes!(|l| ctx.mem.write_u32(addrs[l], vals[l]));
+                return Ok(Outcome::MemLanes { addrs: &addrs[..], lanes: tmask });
             }
-            Instr::FpOp { op, rd, rs1, rs2 } => {
-                self.run_bin_k(
-                    w,
-                    full,
-                    tmask,
-                    tables::fp_bin_kernel(op),
-                    FP_BASE + rd.num() as usize,
-                    FP_BASE + rs1.num() as usize,
-                    FP_BASE + rs2.num() as usize,
-                );
-                let lat = if matches!(op, FpBinOp::Div) { timing.fdiv } else { timing.fpu };
-                wb_fp!(rd, lat);
-            }
-            Instr::FpFma { op, rd, rs1, rs2, rs3 } => {
-                self.run_fma_k(
-                    w,
-                    full,
-                    tmask,
-                    tables::fma_kernel(op),
-                    FP_BASE + rd.num() as usize,
-                    FP_BASE + rs1.num() as usize,
-                    FP_BASE + rs2.num() as usize,
-                    FP_BASE + rs3.num() as usize,
-                );
-                wb_fp!(rd, timing.fpu);
-            }
+            Instr::FpOp { op, rd, rs1, rs2 } => self.run_bin_k(
+                w,
+                full,
+                tmask,
+                tables::fp_bin_kernel(op),
+                FP_BASE + rd.num() as usize,
+                FP_BASE + rs1.num() as usize,
+                FP_BASE + rs2.num() as usize,
+            ),
+            Instr::FpFma { op, rd, rs1, rs2, rs3 } => self.run_fma_k(
+                w,
+                full,
+                tmask,
+                tables::fma_kernel(op),
+                FP_BASE + rd.num() as usize,
+                FP_BASE + rs1.num() as usize,
+                FP_BASE + rs2.num() as usize,
+                FP_BASE + rs3.num() as usize,
+            ),
             Instr::FpSqrt { rd, rs1 } => {
-                self.run_un_k(
-                    w,
-                    full,
-                    tmask,
-                    tables::fsqrt_kernel(),
-                    FP_BASE + rd.num() as usize,
-                    FP_BASE + rs1.num() as usize,
-                );
-                wb_fp!(rd, timing.fsqrt);
+                let (d, s) = (FP_BASE + rd.num() as usize, FP_BASE + rs1.num() as usize);
+                self.run_un_k(w, full, tmask, tables::fsqrt_kernel(), d, s);
             }
             Instr::FpCmp { op, rd, rs1, rs2 } => {
                 if !rd.is_zero() {
@@ -826,94 +951,66 @@ impl Core {
                         FP_BASE + rs2.num() as usize,
                     );
                 }
-                wb_int!(rd, timing.fpu);
             }
             Instr::FpCvtToInt { signed, rd, rs1 } => {
                 if !rd.is_zero() {
+                    let k = tables::fcvt_to_int_kernel(signed);
                     self.run_un_k(
                         w,
                         full,
                         tmask,
-                        tables::fcvt_to_int_kernel(signed),
+                        k,
                         rd.num() as usize,
                         FP_BASE + rs1.num() as usize,
                     );
                 }
-                wb_int!(rd, timing.fpu);
             }
             Instr::FpCvtFromInt { signed, rd, rs1 } => {
-                self.run_un_k(
-                    w,
-                    full,
-                    tmask,
-                    tables::fcvt_from_int_kernel(signed),
-                    FP_BASE + rd.num() as usize,
-                    rs1.num() as usize,
-                );
-                wb_fp!(rd, timing.fpu);
+                let k = tables::fcvt_from_int_kernel(signed);
+                self.run_un_k(w, full, tmask, k, FP_BASE + rd.num() as usize, rs1.num() as usize);
             }
             Instr::FpMvToInt { rd, rs1 } => {
                 if !rd.is_zero() {
+                    let k = tables::fmv_bits_kernel();
                     self.run_un_k(
                         w,
                         full,
                         tmask,
-                        tables::fmv_bits_kernel(),
+                        k,
                         rd.num() as usize,
                         FP_BASE + rs1.num() as usize,
                     );
                 }
-                wb_int!(rd, timing.fpu);
             }
             Instr::FpMvFromInt { rd, rs1 } => {
-                self.run_un_k(
-                    w,
-                    full,
-                    tmask,
-                    tables::fmv_bits_kernel(),
-                    FP_BASE + rd.num() as usize,
-                    rs1.num() as usize,
-                );
-                wb_fp!(rd, timing.fpu);
+                let k = tables::fmv_bits_kernel();
+                self.run_un_k(w, full, tmask, k, FP_BASE + rd.num() as usize, rs1.num() as usize);
             }
             Instr::FpClass { rd, rs1 } => {
                 if !rd.is_zero() {
+                    let k = tables::fclass_kernel();
                     self.run_un_k(
                         w,
                         full,
                         tmask,
-                        tables::fclass_kernel(),
+                        k,
                         rd.num() as usize,
                         FP_BASE + rs1.num() as usize,
                     );
                 }
-                wb_int!(rd, timing.fpu);
             }
             Instr::Tmc { rs1 } => {
                 let mask = self.uniform(w, rs1, pc)? & self.warps[w].full_mask();
-                if mask == 0 {
-                    self.warps[w].halt();
-                    self.warp_next[w] = NEVER;
-                    halted = true;
+                return Ok(if mask == 0 {
+                    Outcome::Halt
                 } else {
-                    self.warps[w].tmask = mask;
-                }
+                    Outcome::Ctl { next_pc: fall_through, tmask: mask }
+                });
             }
             Instr::Wspawn { rs1, rs2 } => {
                 let count = self.uniform(w, rs1, pc)?;
                 let target = self.uniform(w, rs2, pc)?;
-                if count as usize > self.warps.len() {
-                    return Err(SimError::WspawnTooManyWarps {
-                        requested: count,
-                        available: self.warps.len(),
-                    });
-                }
-                if let Some(sink) = ctx.trace.as_mut() {
-                    if sink.wants_warp_events() {
-                        sink.on_warp_event(self.id, w, &WarpEvent::Wspawn { count, target });
-                    }
-                }
-                self.activate_round(w, count as usize, target, now + timing.wspawn);
+                return Ok(Outcome::Wspawn { count, target });
             }
             Instr::Split { rs1, offset } => {
                 if self.warps[w].ipdom.len() >= ctx.ipdom_depth {
@@ -924,61 +1021,38 @@ impl Core {
                 for_lanes!(|l| taken |= u32::from(row[l] != 0) << l);
                 let not_taken = tmask & !taken;
                 let else_pc = pc.wrapping_add(offset as u32);
-                if not_taken == 0 {
-                    self.warps[w].ipdom.push(IpdomEntry::Uniform { restore_mask: tmask });
+                let (entry, next_pc, next_mask) = if not_taken == 0 {
+                    (IpdomEntry::Uniform { restore_mask: tmask }, fall_through, tmask)
                 } else if taken == 0 {
-                    self.warps[w].ipdom.push(IpdomEntry::Uniform { restore_mask: tmask });
-                    next_pc = else_pc;
+                    (IpdomEntry::Uniform { restore_mask: tmask }, else_pc, tmask)
                 } else {
-                    self.warps[w].ipdom.push(IpdomEntry::ElsePending {
+                    let pending = IpdomEntry::ElsePending {
                         restore_mask: tmask,
                         else_mask: not_taken,
                         else_pc,
-                    });
-                    self.warps[w].tmask = taken;
-                }
+                    };
+                    (pending, fall_through, taken)
+                };
+                self.warps[w].ipdom.push(entry);
+                return Ok(Outcome::Ctl { next_pc, tmask: next_mask });
             }
-            Instr::Join => match self.warps[w].ipdom.pop() {
-                None => return Err(SimError::IpdomUnderflow { pc }),
-                Some(IpdomEntry::Uniform { restore_mask })
-                | Some(IpdomEntry::ElseRunning { restore_mask }) => {
-                    self.warps[w].tmask = restore_mask;
-                }
-                Some(IpdomEntry::ElsePending { restore_mask, else_mask, else_pc }) => {
-                    self.warps[w].ipdom.push(IpdomEntry::ElseRunning { restore_mask });
-                    self.warps[w].tmask = else_mask;
-                    next_pc = else_pc;
-                }
-            },
+            Instr::Join => {
+                return match self.warps[w].ipdom.pop() {
+                    None => Err(SimError::IpdomUnderflow { pc }),
+                    Some(IpdomEntry::Uniform { restore_mask })
+                    | Some(IpdomEntry::ElseRunning { restore_mask }) => {
+                        Ok(Outcome::Ctl { next_pc: fall_through, tmask: restore_mask })
+                    }
+                    Some(IpdomEntry::ElsePending { restore_mask, else_mask, else_pc }) => {
+                        self.warps[w].ipdom.push(IpdomEntry::ElseRunning { restore_mask });
+                        Ok(Outcome::Ctl { next_pc: else_pc, tmask: else_mask })
+                    }
+                };
+            }
             Instr::Bar { rs1, rs2 } => {
                 let id = self.uniform(w, rs1, pc)?;
                 let count = self.uniform(w, rs2, pc)?;
-                if let Some(sink) = ctx.trace.as_mut() {
-                    if sink.wants_warp_events() {
-                        sink.on_warp_event(self.id, w, &WarpEvent::Bar { id, count });
-                    }
-                }
-                let count = count as usize;
-                let state = self.barriers.entry(id).or_default();
-                state.arrived.push(w);
-                if state.arrived.len() >= count {
-                    let released = self.barriers.remove(&id).expect("just inserted");
-                    for rw in released.arrived {
-                        self.warps[rw].at_barrier = None;
-                        self.warps[rw].ready_at = now + timing.barrier;
-                        self.warp_next[rw] = now + timing.barrier;
-                        self.next_issue[rw].valid = false;
-                    }
-                    // `self` (warp w) is among the released warps.
-                    self.warps[w].pc = next_pc;
-                    return Ok(());
-                } else {
-                    self.warps[w].at_barrier = Some(id);
-                    self.warps[w].ready_at = NEVER;
-                    self.warp_next[w] = NEVER;
-                    self.warps[w].pc = next_pc;
-                    return Ok(());
-                }
+                return Ok(Outcome::Bar { id, count });
             }
             Instr::Vote { op, rd, rs1 } => {
                 let row = self.rf.row(w, rs1.num() as usize);
@@ -992,427 +1066,9 @@ impl Core {
                 if !rd.is_zero() {
                     self.broadcast_k(w, full, tmask, rd.num() as usize, result);
                 }
-                wb_int!(rd, timing.alu);
             }
         }
-
-        // Value-dependent control outcomes, recorded *after* the arm so
-        // the post-instruction PC and mask are final. (`Bar` returned
-        // above and records in its arm; `Jal` is static and needs none.)
-        if let Some(sink) = ctx.trace.as_mut() {
-            if sink.wants_warp_events() {
-                match instr {
-                    Instr::Branch { .. }
-                    | Instr::Jalr { .. }
-                    | Instr::Split { .. }
-                    | Instr::Join => {
-                        let tmask = self.warps[w].tmask;
-                        sink.on_warp_event(self.id, w, &WarpEvent::Ctl { next_pc, tmask });
-                    }
-                    Instr::Tmc { .. } => {
-                        let ev = if halted {
-                            WarpEvent::Halt
-                        } else {
-                            WarpEvent::Ctl { next_pc, tmask: self.warps[w].tmask }
-                        };
-                        sink.on_warp_event(self.id, w, &ev);
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        if !halted {
-            let taken = next_pc != pc.wrapping_add(4);
-            let gap = if taken && meta.is_control { 1 + timing.branch_bubble } else { 1 };
-            self.warps[w].pc = next_pc;
-            self.warps[w].ready_at = now + gap;
-            // `ready_at` ignores the next instruction's register hazards,
-            // so it is a valid (early) lower bound for the skip cache.
-            self.warp_next[w] = now + gap;
-        }
-        Ok(())
-    }
-
-    /// The replay twin of [`Core::issue`]: consumes recorded
-    /// [`WarpEvent`]s for every value-dependent outcome and skips all row
-    /// kernels and functional memory traffic, while issuing with exactly
-    /// the same write-back registers, latencies, control gaps, barrier
-    /// bookkeeping and memory-system timing calls as execute mode —
-    /// cycles and counters are bit-identical by construction (CI gates
-    /// the identity over the extended cycle_dump grid). Register *values*
-    /// are not maintained: value-shaped work (CSR reads, votes, loads)
-    /// only touches the scoreboard, and uniformity/divergence checks are
-    /// skipped — the recorded run already passed them.
-    fn issue_replay<S: TraceSink + ?Sized>(
-        &mut self,
-        w: usize,
-        instr: Instr,
-        meta: &InstrMeta,
-        now: Cycle,
-        ctx: &mut CoreCtx<'_, S>,
-    ) -> Result<(), SimError> {
-        let pc = self.warps[w].pc;
-        let tmask = self.warps[w].tmask;
-
-        ctx.counters.instructions += 1;
-        ctx.counters.lane_instructions += u64::from(tmask.count_ones());
-        ctx.counters.classes.record(meta.class);
-        if let Some(sink) = ctx.trace.as_mut() {
-            sink.on_issue(&IssueEvent { cycle: now, core: self.id, warp: w, pc, tmask, instr });
-        }
-
-        let timing = ctx.timing;
-        let mut next_pc = pc.wrapping_add(4);
-        let mut halted = false;
-
-        macro_rules! wb_int {
-            ($rd:expr, $lat:expr) => {{
-                if !$rd.is_zero() {
-                    self.rf.set_busy(w, $rd.num() as usize, now + $lat);
-                }
-            }};
-        }
-        macro_rules! wb_fp {
-            ($rd:expr, $lat:expr) => {{
-                self.rf.set_busy(w, FP_BASE + $rd.num() as usize, now + $lat);
-            }};
-        }
-
-        // Write-back register and latency mirror `issue` arm by arm (on
-        // the *instruction*, not the exec class: `vote`/`csr` write at ALU
-        // latency despite their classes, FP compares/converts write
-        // integer registers at FPU latency — a class-based mapping would
-        // break bit-identity under non-default timing).
-        match instr {
-            Instr::Lui { rd, .. } | Instr::Auipc { rd, .. } => wb_int!(rd, timing.alu),
-            Instr::Jal { rd, offset } => {
-                wb_int!(rd, timing.alu);
-                next_pc = pc.wrapping_add(offset as u32);
-            }
-            Instr::Jalr { rd, .. } => {
-                wb_int!(rd, timing.alu);
-                let (npc, tm) = self.replay_ctl(w, pc, ctx)?;
-                self.warps[w].tmask = tm;
-                next_pc = npc;
-            }
-            Instr::Branch { .. } | Instr::Split { .. } | Instr::Join => {
-                let (npc, tm) = self.replay_ctl(w, pc, ctx)?;
-                self.warps[w].tmask = tm;
-                next_pc = npc;
-            }
-            Instr::Load { rd, .. } => {
-                let completion = self.replay_mem(w, pc, false, now, ctx)?;
-                if !rd.is_zero() {
-                    self.rf.set_busy(w, rd.num() as usize, completion);
-                }
-            }
-            Instr::Store { .. } => {
-                self.replay_mem(w, pc, true, now, ctx)?;
-            }
-            Instr::OpImm { rd, .. } => wb_int!(rd, timing.alu),
-            Instr::Op { rd, .. } => {
-                let lat = match meta.class {
-                    ExecClass::Mul => timing.mul,
-                    ExecClass::Div => timing.div,
-                    _ => timing.alu,
-                };
-                wb_int!(rd, lat);
-            }
-            Instr::Fence => {}
-            Instr::Ecall => return Err(SimError::Trap { pc, breakpoint: false }),
-            Instr::Ebreak => return Err(SimError::Trap { pc, breakpoint: true }),
-            Instr::Csr { rd, .. } => wb_int!(rd, timing.alu),
-            Instr::Flw { rd, .. } => {
-                let completion = self.replay_mem(w, pc, false, now, ctx)?;
-                self.rf.set_busy(w, FP_BASE + rd.num() as usize, completion);
-            }
-            Instr::Fsw { .. } => {
-                self.replay_mem(w, pc, true, now, ctx)?;
-            }
-            Instr::FpOp { op, rd, .. } => {
-                let lat = if matches!(op, FpBinOp::Div) { timing.fdiv } else { timing.fpu };
-                wb_fp!(rd, lat);
-            }
-            Instr::FpFma { rd, .. } => wb_fp!(rd, timing.fpu),
-            Instr::FpSqrt { rd, .. } => wb_fp!(rd, timing.fsqrt),
-            Instr::FpCmp { rd, .. }
-            | Instr::FpCvtToInt { rd, .. }
-            | Instr::FpMvToInt { rd, .. }
-            | Instr::FpClass { rd, .. } => wb_int!(rd, timing.fpu),
-            Instr::FpCvtFromInt { rd, .. } | Instr::FpMvFromInt { rd, .. } => {
-                wb_fp!(rd, timing.fpu);
-            }
-            Instr::Tmc { .. } => match self.replay_next(w, pc, ctx)? {
-                WarpEvent::Halt => {
-                    self.warps[w].halt();
-                    self.warp_next[w] = NEVER;
-                    halted = true;
-                }
-                &WarpEvent::Ctl { next_pc: npc, tmask: tm } => {
-                    self.warps[w].tmask = tm;
-                    next_pc = npc;
-                }
-                _ => return Err(SimError::ReplayDiverged { core: self.id, warp: w, pc }),
-            },
-            Instr::Wspawn { .. } => match self.replay_next(w, pc, ctx)? {
-                &WarpEvent::Wspawn { count, target } => {
-                    self.activate_round(w, count as usize, target, now + timing.wspawn);
-                }
-                _ => return Err(SimError::ReplayDiverged { core: self.id, warp: w, pc }),
-            },
-            Instr::Bar { .. } => match self.replay_next(w, pc, ctx)? {
-                &WarpEvent::Bar { id, count } => {
-                    let count = count as usize;
-                    let state = self.barriers.entry(id).or_default();
-                    state.arrived.push(w);
-                    if state.arrived.len() >= count {
-                        let released = self.barriers.remove(&id).expect("just inserted");
-                        for rw in released.arrived {
-                            self.warps[rw].at_barrier = None;
-                            self.warps[rw].ready_at = now + timing.barrier;
-                            self.warp_next[rw] = now + timing.barrier;
-                            self.next_issue[rw].valid = false;
-                        }
-                        // `self` (warp w) is among the released warps.
-                        self.warps[w].pc = next_pc;
-                        return Ok(());
-                    } else {
-                        self.warps[w].at_barrier = Some(id);
-                        self.warps[w].ready_at = NEVER;
-                        self.warp_next[w] = NEVER;
-                        self.warps[w].pc = next_pc;
-                        return Ok(());
-                    }
-                }
-                _ => return Err(SimError::ReplayDiverged { core: self.id, warp: w, pc }),
-            },
-            Instr::Vote { rd, .. } => wb_int!(rd, timing.alu),
-        }
-
-        if !halted {
-            let taken = next_pc != pc.wrapping_add(4);
-            let gap = if taken && meta.is_control { 1 + timing.branch_bubble } else { 1 };
-            self.warps[w].pc = next_pc;
-            self.warps[w].ready_at = now + gap;
-            self.warp_next[w] = now + gap;
-        }
-        Ok(())
-    }
-
-    /// The next recorded event of warp `w`, re-emitted to an attached
-    /// recording sink (so replay-under-record reproduces the trace
-    /// byte-for-byte — the idempotence half of the format tests).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::ReplayDiverged`] when the stream is exhausted.
-    fn replay_next<'e, S: TraceSink + ?Sized>(
-        &mut self,
-        w: usize,
-        pc: u32,
-        ctx: &mut CoreCtx<'e, S>,
-    ) -> Result<&'e WarpEvent, SimError> {
-        let ev = ctx
-            .replay
-            .as_mut()
-            .expect("issue_replay runs only with a replay context")
-            .next(self.id, w)
-            .ok_or(SimError::ReplayDiverged { core: self.id, warp: w, pc })?;
-        if let Some(sink) = ctx.trace.as_mut() {
-            if sink.wants_warp_events() {
-                sink.on_warp_event(self.id, w, ev);
-            }
-        }
-        Ok(ev)
-    }
-
-    /// Consumes a [`WarpEvent::Ctl`] record, returning `(next_pc, tmask)`.
-    fn replay_ctl<S: TraceSink + ?Sized>(
-        &mut self,
-        w: usize,
-        pc: u32,
-        ctx: &mut CoreCtx<'_, S>,
-    ) -> Result<(u32, u32), SimError> {
-        match self.replay_next(w, pc, ctx)? {
-            &WarpEvent::Ctl { next_pc, tmask } => Ok((next_pc, tmask)),
-            _ => Err(SimError::ReplayDiverged { core: self.id, warp: w, pc }),
-        }
-    }
-
-    /// Consumes a memory record and re-times it against the *current*
-    /// hierarchy: spans via the arithmetic span walk, lane sets by
-    /// re-coalescing the recorded pre-coalescing addresses against this
-    /// run's line size — so a trace recorded under one cache geometry
-    /// replays correctly under another. The memory-system call shape
-    /// (span vs batch) is preserved exactly as recorded.
-    fn replay_mem<S: TraceSink + ?Sized>(
-        &mut self,
-        w: usize,
-        pc: u32,
-        is_store: bool,
-        now: Cycle,
-        ctx: &mut CoreCtx<'_, S>,
-    ) -> Result<Cycle, SimError> {
-        match self.replay_next(w, pc, ctx)? {
-            &WarpEvent::MemSpan { addr0, last, store } if store == is_store => {
-                let out = ctx.memsys.access_span(self.id, addr0, last, now, is_store);
-                self.mem_port_free = now + out.port_slots;
-                *ctx.horizon = (*ctx.horizon).max(out.completion);
-                Ok(out.completion)
-            }
-            WarpEvent::MemLanes { addrs, store } if *store == is_store => {
-                let lines = coalesce_lines(addrs.iter().copied(), ctx.line_bytes);
-                let out = ctx.memsys.access_batch(self.id, lines.as_slice(), now, is_store);
-                self.mem_port_free = now + out.port_slots;
-                if !lines.is_empty() {
-                    *ctx.horizon = (*ctx.horizon).max(out.completion);
-                }
-                Ok(out.completion)
-            }
-            _ => Err(SimError::ReplayDiverged { core: self.id, warp: w, pc }),
-        }
-    }
-
-    /// Attempts to dispatch warp `w`'s next instructions as one fused
-    /// basic-block walk. Returns `Some(end)` — the issue cycle of the
-    /// last fused instruction, i.e. the new "now" — when at least two
-    /// steps executed, `None` to fall back to the per-instruction path.
-    ///
-    /// Exactness argument. Fusion requires (a) the warp to sit at the
-    /// first slot of a precompiled block, (b) every block-touched
-    /// register to be idle at `now`, so the block's static schedule
-    /// (computed for an all-idle entry) gives each step's true issue
-    /// cycle, and (c) each fused step's issue cycle `now + dt` to lie
-    /// **strictly** below `lim`, the minimum of this core's event horizon
-    /// and every *other* warp's next-issue lower bound. Under (c) no
-    /// other warp (or core) can become due at or before any fused issue
-    /// cycle, so the per-instruction scheduler would have picked warp `w`
-    /// at exactly those cycles anyway — the walk replays the identical
-    /// issue sequence, write-back times, counter increments and trace
-    /// events, and merely skips the scheduler rounds in between. A block
-    /// whose tail crosses `lim` is cut: the prefix executes fused (with
-    /// per-step scoreboard updates, leaving exactly the mid-block state
-    /// the per-instruction path would hold) and the rest re-arbitrates.
-    fn fuse_block<S: TraceSink + ?Sized>(
-        &mut self,
-        w: usize,
-        now: Cycle,
-        horizon: Cycle,
-        ctx: &mut CoreCtx<'_, S>,
-    ) -> Option<Cycle> {
-        let pc = self.warps[w].pc;
-        // `next_for` just fetched successfully, so `pc` is in range.
-        let idx = ((pc - ctx.code_base) / 4) as usize;
-        let b = ctx.blocks.fused_at(idx)?;
-        let blk = ctx.blocks.block(b);
-        let steps = ctx.blocks.steps(blk);
-        // The uncontested window: no other warp's bound, and nothing on
-        // any other core, may precede a fused issue cycle. Fusing fewer
-        // than two steps is pure overhead, so the scan folds that bound
-        // in and bails at the first contender — with ready warps resident
-        // (the common contested case) this exits on the first probe.
-        let bound = now + steps[1].dt;
-        if bound >= horizon {
-            return None;
-        }
-        let mut lim = horizon;
-        for (v, &at) in self.warp_next.iter().enumerate() {
-            if v != w && at < lim {
-                if at <= bound {
-                    return None;
-                }
-                lim = at;
-            }
-        }
-        // Hazard entry: the static schedule is exact only if every row
-        // the block touches is idle. The warp watermark usually answers
-        // in one compare; otherwise check the block's touched-row set.
-        if self.rf.busy_watermark(w) > now {
-            for &r in ctx.blocks.regs(blk) {
-                if self.rf.busy_until(w, r as usize) > now {
-                    return None;
-                }
-            }
-        }
-        let tmask = self.warps[w].tmask;
-        let full = tmask == self.warps[w].full_mask();
-        // How many steps fit: the whole block in the common case, else
-        // the longest prefix whose issue cycles stay inside the window.
-        let whole = now + blk.dt_last < lim;
-        let count = if whole {
-            steps.len()
-        } else {
-            let mut c = 2;
-            while c < steps.len() && now + steps[c].dt < lim {
-                c += 1;
-            }
-            c
-        };
-        for (i, step) in steps[..count].iter().enumerate() {
-            if let Some(sink) = ctx.trace.as_mut() {
-                sink.on_issue(&IssueEvent {
-                    cycle: now + step.dt,
-                    core: self.id,
-                    warp: w,
-                    pc: pc.wrapping_add(4 * i as u32),
-                    tmask,
-                    instr: ctx.code[idx + i].instr,
-                });
-            }
-            // Fused blocks hold only straight-line register arithmetic
-            // (no memory, control or value-dependent outcomes), so replay
-            // keeps the fused timing walk and skips only the row kernels.
-            if ctx.replay.is_none() {
-                self.exec_step(w, full, tmask, step);
-            }
-            if !whole && step.wb != 0 {
-                // Prefix path: per-step releases, so the continuation
-                // sees the exact mid-block scoreboard.
-                self.rf.set_busy(w, step.wb as usize, now + step.wb_at);
-            }
-        }
-        if whole {
-            for &(r, at) in ctx.blocks.writes(blk) {
-                self.rf.set_busy(w, r as usize, now + at);
-            }
-            ctx.counters.classes.merge(&blk.classes);
-        } else {
-            for step in &steps[..count] {
-                ctx.counters.classes.record(step.class);
-            }
-        }
-        ctx.counters.instructions += count as u64;
-        ctx.counters.lane_instructions += (count as u64) * u64::from(tmask.count_ones());
-        ctx.counters.fused_instructions += count as u64;
-        ctx.counters.fused_blocks += 1;
-        let end = now + steps[count - 1].dt;
-        self.warps[w].pc = pc.wrapping_add(4 * count as u32);
-        self.warps[w].ready_at = end + 1;
-        self.warp_next[w] = end + 1;
-        Some(end)
-    }
-
-    /// Executes the architectural effect of one fused step (the same row
-    /// kernels the per-instruction arms dispatch to).
-    #[inline]
-    fn exec_step(&mut self, w: usize, full: bool, tmask: u32, step: &Step) {
-        let d = step.wb as usize;
-        match step.op {
-            StepOp::Nop => {}
-            StepOp::Broadcast { v } => self.broadcast_k(w, full, tmask, d, v),
-            StepOp::Imm { k, s, imm } => self.run_imm_k(w, full, tmask, k, d, s as usize, imm),
-            StepOp::Bin { k, s1, s2 } => {
-                self.run_bin_k(w, full, tmask, k, d, s1 as usize, s2 as usize);
-            }
-            StepOp::DivRem { rem, k, s1, s2 } => {
-                self.run_divrem_k(w, full, tmask, rem, k, d, s1 as usize, s2 as usize);
-            }
-            StepOp::Un { k, s } => self.run_un_k(w, full, tmask, k, d, s as usize),
-            StepOp::Fma { k, s1, s2, s3 } => {
-                self.run_fma_k(w, full, tmask, k, d, s1 as usize, s2 as usize, s3 as usize);
-            }
-        }
+        Ok(Outcome::Static)
     }
 
     /// Snapshots source row `dense` into `buf`: whole-row move under a
@@ -1663,157 +1319,61 @@ impl Core {
         }
     }
 
-    /// Coalesces the line requests of one SIMT memory instruction and
-    /// hands the whole batch to the hierarchy in **one**
-    /// [`MemSystem::access_batch`] call (L1 bank serialisation, L2
-    /// bandwidth slots and DRAM queueing all happen inside the walk).
-    /// Returns the completion cycle of the last line.
-    fn memory_access<S: TraceSink + ?Sized>(
-        &mut self,
-        w: usize,
-        addrs: &[u32; 32],
-        tmask: u32,
-        is_store: bool,
-        now: Cycle,
-        ctx: &mut CoreCtx<'_, S>,
-    ) -> Cycle {
-        if let Some(sink) = ctx.trace.as_mut() {
-            if sink.wants_warp_events() {
-                // Record the *pre-coalescing* lane addresses (in lane
-                // order): replay re-coalesces against its own line size,
-                // so the trace stays valid across cache geometries.
-                let mut m = tmask;
-                let mut lanes = Vec::with_capacity(m.count_ones() as usize);
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    lanes.push(addrs[l]);
-                }
-                sink.on_warp_event(
-                    self.id,
-                    w,
-                    &WarpEvent::MemLanes { addrs: lanes, store: is_store },
-                );
-            }
-        }
-        // Iterate set bits directly: cost scales with active lanes, not
-        // with the 32-lane SIMT width.
-        let mut mask = tmask;
-        let lanes = std::iter::from_fn(move || {
-            if mask == 0 {
-                return None;
-            }
-            let l = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            Some(addrs[l])
-        });
-        let lines = coalesce_lines(lanes, ctx.line_bytes);
-        let out = ctx.memsys.access_batch(self.id, lines.as_slice(), now, is_store);
-        self.mem_port_free = now + out.port_slots;
-        if !lines.is_empty() {
-            *ctx.horizon = (*ctx.horizon).max(out.completion);
-        }
-        out.completion
-    }
-
-    /// [`memory_access`](Core::memory_access) for a contiguous ascending
-    /// span of lane addresses `addr0..=addr_last` (the broadcast and
-    /// unit-stride fast paths): the coalesced line sequence of such a span
-    /// is exactly the ascending run of line bases it covers, so the
-    /// hierarchy generates it arithmetically inside the batched walk
-    /// ([`MemSystem::access_span`]) instead of walking 32 lanes through
-    /// the dedup buffer.
-    fn memory_access_span<S: TraceSink + ?Sized>(
-        &mut self,
-        w: usize,
-        addr0: u32,
-        addr_last: u32,
-        is_store: bool,
-        now: Cycle,
-        ctx: &mut CoreCtx<'_, S>,
-    ) -> Cycle {
-        if let Some(sink) = ctx.trace.as_mut() {
-            if sink.wants_warp_events() {
-                sink.on_warp_event(
-                    self.id,
-                    w,
-                    &WarpEvent::MemSpan { addr0, last: addr_last, store: is_store },
-                );
-            }
-        }
-        let out = ctx.memsys.access_span(self.id, addr0, addr_last, now, is_store);
-        self.mem_port_free = now + out.port_slots;
-        *ctx.horizon = (*ctx.horizon).max(out.completion);
-        out.completion
-    }
-
-    /// Full-mask broadcast / unit-stride word-**load** fast path into the
-    /// dense destination row `dense` — the one shared copy of what used to
-    /// be four near-identical inline blocks (integer `Load` and `Flw`;
-    /// `fast_word_store` is the store dual). Returns `Ok(true)` when the
-    /// access was served bulk, with values, coalesced line sequence, port
-    /// accounting and misalignment faults identical to the lane loop: a
+    /// Full-mask broadcast / unit-stride word-**load** fast path from base
+    /// row `base` into the dense destination row `dense` (integer `Load`
+    /// and `Flw`; `fast_word_store` is the store dual). Returns the span
+    /// when the access was served bulk, with values, coalesced line
+    /// sequence and misalignment faults identical to the lane loop: a
     /// misaligned *broadcast* faults here (lane 0 is the first lane the
     /// general path would check), while a misaligned *stride* never
     /// classifies and falls back to the lane loop, which raises the same
     /// fault on lane 0.
-    #[allow(clippy::too_many_arguments)] // mirrors `issue`'s hot-path locals
     fn fast_word_load<S: TraceSink + ?Sized>(
         &mut self,
         w: usize,
         dense: usize,
-        base: &[u32; 32],
+        base: usize,
         offset: i32,
-        pc: u32,
-        now: Cycle,
         ctx: &mut CoreCtx<'_, S>,
-    ) -> Result<bool, SimError> {
-        let n = self.warps[w].threads();
-        match span::classify(&base[..n], offset) {
+    ) -> Result<Option<Outcome<'static>>, SimError> {
+        match span::classify(self.rf.row(w, base), offset) {
             Span::Broadcast { addr0 } => {
                 if addr0 & 3 != 0 {
+                    let pc = self.warps[w].pc;
                     return Err(SimError::MisalignedAccess { pc, addr: addr0, align: 4 });
                 }
                 let v = ctx.mem.read_u32(addr0);
                 self.rf.row_mut(w, dense).fill(v);
-                let completion = self.memory_access_span(w, addr0, addr0, false, now, ctx);
-                self.rf.set_busy(w, dense, completion);
-                Ok(true)
+                Ok(Some(Outcome::MemSpan { addr0, last: addr0 }))
             }
             Span::UnitStride { addr0, last } => {
-                let dst = self.rf.row_mut(w, dense);
-                ctx.mem.read_u32_into(addr0, dst);
-                let completion = self.memory_access_span(w, addr0, last, false, now, ctx);
-                self.rf.set_busy(w, dense, completion);
-                Ok(true)
+                ctx.mem.read_u32_into(addr0, self.rf.row_mut(w, dense));
+                Ok(Some(Outcome::MemSpan { addr0, last }))
             }
-            Span::Irregular => Ok(false),
+            Span::Irregular => Ok(None),
         }
     }
 
     /// Unit-stride full-mask word-**store** fast path (the shared copy
     /// behind integer `Store` and `Fsw`). Broadcast rows are deliberately
     /// rejected: overlapping stores must land in lane order, which only
-    /// the lane loop preserves. Returns `true` when the store was served
-    /// bulk.
+    /// the lane loop preserves. Returns the span when the store was
+    /// served bulk.
     fn fast_word_store<S: TraceSink + ?Sized>(
         &mut self,
         w: usize,
-        base_dense: usize,
-        vals_dense: usize,
+        base: usize,
+        vals: usize,
         offset: i32,
-        now: Cycle,
         ctx: &mut CoreCtx<'_, S>,
-    ) -> bool {
-        let base = self.rf.row(w, base_dense);
-        let (addr0, last) = match span::classify(base, offset) {
-            Span::UnitStride { addr0, last } => (addr0, last),
-            Span::Broadcast { .. } | Span::Irregular => return false,
-        };
-        let vals = self.rf.row(w, vals_dense);
-        ctx.mem.write_u32_from(addr0, vals);
-        self.memory_access_span(w, addr0, last, true, now, ctx);
-        true
+    ) -> Option<Outcome<'static>> {
+        match span::classify(self.rf.row(w, base), offset) {
+            Span::UnitStride { addr0, last } => {
+                ctx.mem.write_u32_from(addr0, self.rf.row(w, vals));
+                Some(Outcome::MemSpan { addr0, last })
+            }
+            Span::Broadcast { .. } | Span::Irregular => None,
+        }
     }
 
     /// The value of `reg` in the lowest active lane of warp `w`, with a
@@ -1863,13 +1423,11 @@ impl Core {
     }
 }
 
-fn load_width_bytes(width: LoadWidth) -> (u32, bool) {
+fn load_width_bytes(width: LoadWidth) -> u32 {
     match width {
-        LoadWidth::Byte => (1, true),
-        LoadWidth::ByteU => (1, false),
-        LoadWidth::Half => (2, true),
-        LoadWidth::HalfU => (2, false),
-        LoadWidth::Word => (4, false),
+        LoadWidth::Byte | LoadWidth::ByteU => 1,
+        LoadWidth::Half | LoadWidth::HalfU => 2,
+        LoadWidth::Word => 4,
     }
 }
 

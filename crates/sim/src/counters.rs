@@ -48,8 +48,7 @@ impl ClassCounts {
         self.get(ExecClass::Load) + self.get(ExecClass::Store)
     }
 
-    /// Adds every class count of `other` (the fused block epilogue merges
-    /// a block's precomputed class profile in one pass).
+    /// Adds every class count of `other` (summing counters across runs).
     pub fn merge(&mut self, other: &ClassCounts) {
         for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
             *dst += src;
@@ -84,13 +83,6 @@ pub struct DeviceCounters {
     pub instructions: u64,
     /// Lane-instructions: issued instructions weighted by active lanes.
     pub lane_instructions: u64,
-    /// Instructions issued through the fused basic-block path (a subset
-    /// of [`instructions`](DeviceCounters::instructions); the remainder
-    /// went through the per-instruction fallback).
-    pub fused_instructions: u64,
-    /// Fused block dispatches (each covering ≥ 2 instructions), so
-    /// `fused_instructions / fused_blocks` is the mean fused run length.
-    pub fused_blocks: u64,
     /// Issue counts by functional class.
     pub classes: ClassCounts,
     /// Cycle at which the most recent run finished (including memory

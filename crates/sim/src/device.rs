@@ -9,7 +9,6 @@ use crate::core::{Core, CoreCtx, CoreOutcome};
 use crate::counters::DeviceCounters;
 use crate::decoded::DecodedInstr;
 use crate::error::SimError;
-use crate::exec::block::BlockPlan;
 use crate::trace_api::{LaunchRecord, NullSink, ReplayCtx, ReplayCursor, TraceSink};
 
 /// How much state the last [`Device::reset`] actually swept — the
@@ -54,16 +53,6 @@ pub struct Device {
     /// instruction.
     code_words: Vec<u32>,
     code_base: u32,
-    /// The program's fused basic-block plan, compiled next to the decode
-    /// cache at [`load_program`](Device::load_program) time (see
-    /// [`BlockPlan`]).
-    blocks: BlockPlan,
-    /// Whether the fused block dispatch path is used. On by default;
-    /// `VORTEX_BLOCK_FUSION=0` (or `off`) disables it at construction,
-    /// and [`set_block_fusion`](Device::set_block_fusion) flips it per
-    /// device — cycle results are bit-identical either way (the A/B
-    /// switch exists for the determinism gate and perf probes).
-    block_fusion: bool,
     /// Work done by the most recent [`reset`](Device::reset).
     last_reset_work: ResetWork,
     cycle: Cycle,
@@ -101,11 +90,6 @@ impl Device {
             code: Vec::new(),
             code_words: Vec::new(),
             code_base: 0,
-            blocks: BlockPlan::default(),
-            block_fusion: !matches!(
-                std::env::var("VORTEX_BLOCK_FUSION").as_deref(),
-                Ok("0") | Ok("off")
-            ),
             last_reset_work: ResetWork::default(),
             cycle: 0,
             horizon: 0,
@@ -137,19 +121,7 @@ impl Device {
         self.code = program.instrs().iter().copied().map(DecodedInstr::of).collect();
         self.code_words = program.words().to_vec();
         self.code_base = program.entry();
-        self.blocks = BlockPlan::build(&self.code, self.code_base, &self.config.timing);
         self.mem.write_u32_slice(program.entry(), program.words());
-    }
-
-    /// Enables or disables the fused block dispatch path (the in-process
-    /// A/B switch; cycle results are bit-identical either way).
-    pub fn set_block_fusion(&mut self, on: bool) {
-        self.block_fusion = on;
-    }
-
-    /// Whether the fused block dispatch path is enabled.
-    pub fn block_fusion(&self) -> bool {
-        self.block_fusion
     }
 
     /// How much state the most recent [`reset`](Device::reset) actually
@@ -303,7 +275,9 @@ impl Device {
     /// # Errors
     ///
     /// As for [`run`](Device::run), plus [`SimError::ReplayDiverged`]
-    /// when the run needs a record the trace does not hold.
+    /// when the run needs a record the trace does not hold, and
+    /// [`SimError::ReplayShape`] (before anything runs) when `rec` or
+    /// `cursor` was built for another `cores × warps` topology.
     pub fn run_replay<S: TraceSink + ?Sized>(
         &mut self,
         limit: Cycle,
@@ -311,7 +285,7 @@ impl Device {
         rec: &LaunchRecord,
         cursor: &mut ReplayCursor,
     ) -> Result<Cycle, SimError> {
-        let replay = ReplayCtx::new(rec, cursor);
+        let replay = ReplayCtx::new(rec, cursor, self.config.cores, self.config.warps)?;
         self.run_inner(limit, trace, Some(replay))
     }
 
@@ -336,8 +310,6 @@ impl Device {
             code,
             code_words: _,
             code_base,
-            blocks,
-            block_fusion,
             last_reset_work: _,
             cycle,
             horizon,
@@ -384,8 +356,6 @@ impl Device {
             trace,
             horizon: &mut *horizon,
             line_bytes,
-            blocks,
-            fuse: *block_fusion,
             replay,
         };
 

@@ -96,6 +96,17 @@ pub enum SimError {
         /// PC of the instruction that needed the record.
         pc: u32,
     },
+    /// A replay was handed a launch record or cursor built for another
+    /// topology: its per-warp stream count (or warps-per-core stride)
+    /// does not match the device.
+    ReplayShape {
+        /// Streams the record (or its cursor) holds.
+        streams: usize,
+        /// Warps per core the record was built for.
+        warps: usize,
+        /// `(cores, warps)` of the replaying device.
+        device: (usize, usize),
+    },
     /// A replayed run completed without consuming the whole trace: the
     /// recorded run executed more than the replayed one.
     ReplayIncomplete {
@@ -147,6 +158,11 @@ impl fmt::Display for SimError {
                 f,
                 "replay diverged from recorded trace at {pc:#010x} (core {core}, warp {warp}); \
                  the trace was recorded for different code, data or mapping"
+            ),
+            SimError::ReplayShape { streams, warps, device: (cores, device_warps) } => write!(
+                f,
+                "replay record holds {streams} warp streams at {warps} warps per core, the \
+                 device is {cores}x{device_warps} (cores x warps)"
             ),
             SimError::ReplayIncomplete { leftover } => {
                 write!(f, "replay finished with {leftover} recorded events unconsumed")

@@ -28,7 +28,6 @@
 //! whole module is gated by the bit-identity suite
 //! (`tests/cycle_golden.rs`, the 180-run `cycle_dump` grid).
 
-pub(crate) mod block;
 pub(crate) mod scalar;
 pub(crate) mod span;
 pub(crate) mod tables;

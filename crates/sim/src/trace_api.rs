@@ -3,6 +3,8 @@
 use vortex_isa::Instr;
 use vortex_mem::Cycle;
 
+use crate::error::SimError;
+
 /// One instruction issue, as observed by the paper's trace analysis
 /// (Fig. 1 plots exactly these fields: timestamp, PC, warp and the active
 /// thread mask).
@@ -330,14 +332,30 @@ pub(crate) struct ReplayCtx<'a> {
 }
 
 impl<'a> ReplayCtx<'a> {
-    /// Borrows `rec` and `cursor` for one run.
+    /// Borrows `rec` and `cursor` for one run on a `cores × warps`
+    /// device. [`next`](ReplayCtx::next) indexes both by
+    /// `core * warps + warp`, so a record or cursor built for another
+    /// topology is refused here.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the cursor was built for a different stream count.
-    pub fn new(rec: &'a LaunchRecord, cursor: &'a mut ReplayCursor) -> Self {
-        assert_eq!(rec.streams.len(), cursor.pos.len(), "cursor/record stream count mismatch");
-        ReplayCtx { rec, pos: &mut cursor.pos }
+    /// [`SimError::ReplayShape`] on a stride or stream-count mismatch.
+    pub fn new(
+        rec: &'a LaunchRecord,
+        cursor: &'a mut ReplayCursor,
+        cores: usize,
+        warps: usize,
+    ) -> Result<Self, SimError> {
+        for streams in [rec.streams.len(), cursor.pos.len()] {
+            if streams != cores * warps || rec.warps != warps {
+                return Err(SimError::ReplayShape {
+                    streams,
+                    warps: rec.warps,
+                    device: (cores, warps),
+                });
+            }
+        }
+        Ok(ReplayCtx { rec, pos: &mut cursor.pos })
     }
 
     /// The next recorded event of `(core, warp)`, advancing the cursor.

@@ -3,7 +3,7 @@
 
 use vortex_asm::Assembler;
 use vortex_isa::{csrs, reg};
-use vortex_sim::{Device, DeviceConfig, SimError};
+use vortex_sim::{Device, DeviceConfig, LaunchRecord, NullSink, SimError};
 
 const BASE: u32 = 0x8000_0000;
 const DATA: u32 = 0xA000_0000;
@@ -253,4 +253,27 @@ fn device_reset_restores_clean_state() {
     device.start_warp(0, BASE);
     let second = device.run(100_000, None).unwrap();
     assert_eq!(first, second, "reset must restore identical timing");
+}
+
+#[test]
+fn replay_of_a_record_from_another_topology_is_rejected() {
+    // A 1x1 record (and its cursor) on a 2x2 device: the per-warp stream
+    // index `core * warps + warp` would run past both.
+    let halt = |a: &mut Assembler| a.vx_tmc(reg::ZERO);
+    let mut device = device_for(halt, DeviceConfig::with_topology(2, 2, 2));
+    let small = LaunchRecord::new(1, 1);
+    let err = device.run_replay::<NullSink>(1_000, None, &small, &mut small.cursor()).unwrap_err();
+    assert_eq!(err, SimError::ReplayShape { streams: 1, warps: 1, device: (2, 2) });
+
+    // Right stream count, wrong stride (4x1 on 2x2), and a right-shaped
+    // record driven with another record's cursor.
+    let strided = LaunchRecord::new(4, 1);
+    let err =
+        device.run_replay::<NullSink>(1_000, None, &strided, &mut strided.cursor()).unwrap_err();
+    assert_eq!(err, SimError::ReplayShape { streams: 4, warps: 1, device: (2, 2) });
+    let fitting = LaunchRecord::new(2, 2);
+    let err =
+        device.run_replay::<NullSink>(1_000, None, &fitting, &mut small.cursor()).unwrap_err();
+    assert_eq!(err, SimError::ReplayShape { streams: 1, warps: 2, device: (2, 2) });
+    assert_eq!(device.counters().instructions, 0, "rejected before anything ran");
 }

@@ -240,7 +240,14 @@ pub fn decode_trace(bytes: &[u8]) -> Result<(u64, RecordedTrace), TraceDecodeErr
     let launches = word(28) as usize;
     let payload_len = word(32) as usize;
     let digest = u64::from_le_bytes(bytes[36..44].try_into().expect("header digest"));
-    if cores == 0 || warps == 0 || cores.checked_mul(warps).is_none() {
+    // The header is outside the digest, and these three words size the
+    // allocations below: every stream costs at least its 4-byte count, so
+    // a shape the payload cannot hold is damage, not a large trace.
+    let min_payload = cores
+        .checked_mul(warps)
+        .and_then(|streams| streams.checked_mul(launches))
+        .and_then(|streams| streams.checked_mul(4));
+    if cores == 0 || warps == 0 || min_payload.is_none_or(|min| min > payload_len) {
         return Err(TraceDecodeError::Corrupt);
     }
     let payload =
@@ -357,6 +364,30 @@ mod tests {
                 matches!(err, TraceDecodeError::Truncated | TraceDecodeError::DigestMismatch),
                 "prefix of {len} bytes: unexpected {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn header_shape_words_cannot_outgrow_the_payload() {
+        // cores, warps, launches sit outside the payload digest and size
+        // the decoder's allocations.
+        let bytes = encode_trace(7, &sample());
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let payload_len = word(32);
+        let shape = [20, 24, 28];
+        for at in shape {
+            let others: u32 = shape.iter().filter(|&&o| o != at).map(|&o| word(o)).product();
+            let fits = payload_len / (4 * others);
+            assert!(fits >= word(at), "the sample's own shape fits its payload");
+            for bad in [u32::MAX, fits + 1] {
+                let mut damaged = bytes.clone();
+                damaged[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+                assert_eq!(
+                    decode_trace(&damaged).unwrap_err(),
+                    TraceDecodeError::Corrupt,
+                    "header word at {at} = {bad}"
+                );
+            }
         }
     }
 

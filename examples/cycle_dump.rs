@@ -33,7 +33,7 @@
 //!   **replayed** outcome is printed under the same format — so
 //!   `diff <(cycle_dump extended) <(cycle_dump extended replay)` must
 //!   be empty, or replay has drifted from execute semantics. CI pins
-//!   exactly that, with block fusion on and off.
+//!   exactly that.
 
 use vortex_gpgpu::prelude::*;
 use vortex_gpgpu::sim::{CacheConfig, MemConfig};

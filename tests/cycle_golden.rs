@@ -592,16 +592,15 @@ mod batched_mem {
 }
 
 // ---------------------------------------------------------------------
-// Basic-block superinstruction engine (PR 6).
+// Seams of the one issue walk.
 //
-// The programs below steer execution at the seams of the block engine:
-// an indirect jump landing in the middle of a fused block (no block
-// starts there, so the per-instruction fallback must take over), a
-// barrier splitting a straight-line run, memory ops isolating singleton
-// cells, and a dst==src dependence chain inside one block (the static
-// schedule must serialise it exactly like the scoreboard). Each program
-// is checked three ways on a raw device — traced vs untraced under
-// fusion, and fusion-on vs fusion-off (`set_block_fusion`) — plus an
+// The programs below were written against the seams of the (since
+// removed) PR 6 block-fusion engine, which are the seams of any issue
+// walk: an indirect jump landing mid-run, a barrier splitting a
+// straight-line run, memory ops between arithmetic runs, and a dst==src
+// dependence chain the scoreboard must serialise. Each program is
+// checked three ways on a raw device — untraced, traced, and recorded
+// then replayed (the two outcome sources of `Core::issue`) — plus an
 // absolute golden finish cycle.
 // ---------------------------------------------------------------------
 
@@ -609,75 +608,76 @@ mod blocks {
     use vortex_asm::Assembler;
     use vortex_gpgpu::prelude::*;
     use vortex_isa::reg;
-    use vortex_sim::{Device, NullSink, VecTraceSink};
+    use vortex_sim::{Device, NullSink, TraceRecorder, VecTraceSink};
 
     const BASE: u32 = 0x8000_0000;
 
-    /// Runs `build` on a fresh 1-core device three ways — untraced fused,
-    /// traced fused, untraced with fusion force-disabled — asserts every
-    /// observable fingerprint agrees, and returns the finish cycle, the
-    /// probed memory words, and the fused counters of the fused run.
+    /// Runs `build` on a fresh 1-core device three ways — untraced,
+    /// traced, and under a recorder whose record a fourth device then
+    /// replays — asserts every observable fingerprint agrees, and returns
+    /// the finish cycle and the probed memory words.
     fn identical_runs(
         threads: usize,
         build: impl Fn(&mut Assembler),
         probe: &[u32],
-    ) -> (u64, Vec<u32>, u64, u64) {
-        #[allow(clippy::type_complexity)]
-        let run = |traced: bool, fuse: bool| -> (u64, u64, u64, Vec<u32>, u64, u64) {
-            let mut a = Assembler::new(BASE);
-            build(&mut a);
-            let program = a.assemble().expect("assembles");
+    ) -> (u64, Vec<u32>) {
+        let mut a = Assembler::new(BASE);
+        build(&mut a);
+        let program = a.assemble().expect("assembles");
+        let fresh = || {
             let mut device = Device::new(DeviceConfig::with_topology(1, 2, threads));
-            device.set_block_fusion(fuse);
             device.load_program(&program);
             device.start_warp(0, program.entry());
-            let finish = if traced {
-                let mut sink = VecTraceSink::new();
-                device.run(1_000_000, Some(&mut sink)).expect("runs")
-            } else {
-                device.run_with::<NullSink>(1_000_000, None).expect("runs")
-            };
-            let mem = device.memory();
-            let words = probe.iter().map(|&addr| mem.read_u32(addr)).collect();
-            let c = device.counters();
-            (
-                finish,
-                c.instructions,
-                c.lane_instructions,
-                words,
-                c.fused_instructions,
-                c.fused_blocks,
-            )
+            device
         };
-        let fused = run(false, true);
-        let traced = run(true, true);
-        assert_eq!(fused, traced, "traced vs untraced drift under fusion");
-        let unfused = run(false, false);
-        assert_eq!(
-            (fused.0, fused.1, fused.2, &fused.3),
-            (unfused.0, unfused.1, unfused.2, &unfused.3),
-            "fusion changed an observable outcome"
-        );
-        assert_eq!((unfused.4, unfused.5), (0, 0), "fusion counters moved while disabled");
-        (fused.0, fused.3, fused.4, fused.5)
+        let words = |device: &Device| -> Vec<u32> {
+            probe.iter().map(|&addr| device.memory().read_u32(addr)).collect()
+        };
+
+        let mut untraced = fresh();
+        let finish = untraced.run_with::<NullSink>(1_000_000, None).expect("runs");
+        let expect = (finish, *untraced.counters(), words(&untraced));
+
+        let mut traced = fresh();
+        let mut sink = VecTraceSink::new();
+        let finish = traced.run(1_000_000, Some(&mut sink)).expect("runs");
+        assert_eq!((finish, *traced.counters(), words(&traced)), expect, "traced drift");
+
+        let mut recording = fresh();
+        let mut recorder = TraceRecorder::new(1, 2);
+        let finish = recording.run_with(1_000_000, Some(&mut recorder)).expect("runs");
+        assert_eq!((finish, *recording.counters(), words(&recording)), expect, "record drift");
+        let trace = recorder.finish();
+        let launch = &trace.launches[0];
+
+        // Replay keeps no register or memory values: cycles and counters
+        // are the whole contract.
+        let mut replaying = fresh();
+        let mut cursor = launch.cursor();
+        let finish = replaying
+            .run_replay::<NullSink>(1_000_000, None, launch, &mut cursor)
+            .expect("replays");
+        assert_eq!((finish, *replaying.counters()), (expect.0, expect.1), "replay drift");
+        assert_eq!(launch.leftover(&cursor), 0, "replay left recorded events unconsumed");
+
+        (expect.0, expect.2)
     }
 
-    /// An indirect jump (`jalr`) into the middle of a fused block: block
-    /// starts are static, so the landing pc has no block and the
-    /// per-instruction fallback must execute the tail — skipping exactly
-    /// the first two adds of the block after the call site.
+    /// An indirect jump (`jalr`) into the middle of a straight-line run:
+    /// execution resumes at the landing pc — skipping exactly the first
+    /// two adds after the call site.
     #[test]
     fn jalr_into_mid_block_falls_back() {
-        let (finish, words, fused_instr, _) = identical_runs(
+        let (finish, words) = identical_runs(
             4,
             |a| {
                 let f = a.label("f");
-                // Fusable straight-line prologue (entered at its start).
+                // Straight-line prologue.
                 a.li(reg::T2, 0);
                 a.addi(reg::T4, reg::ZERO, 21);
                 a.add(reg::T4, reg::T4, reg::T4);
                 a.jal(reg::RA, f);
-                // Return lands here: one straight-line block until the sw.
+                // Return lands here: one straight-line run until the sw.
                 a.addi(reg::T2, reg::T2, 1); // skipped (ra + 0)
                 a.addi(reg::T2, reg::T2, 2); // skipped (ra + 4)
                 a.addi(reg::T2, reg::T2, 4); // jalr lands here (ra + 8)
@@ -692,23 +692,22 @@ mod blocks {
         );
         // Only the last two adds ran: 4 + 8.
         assert_eq!(words, vec![12]);
-        assert!(fused_instr > 0, "straight-line tail should still fuse");
         assert_eq!(finish, GOLDEN_JALR_MID_BLOCK, "jalr mid-block golden cycle drift");
     }
 
-    /// A barrier splits a straight-line run into separate blocks: the
-    /// arithmetic on both sides fuses, the barrier itself never does.
+    /// A barrier in the middle of a straight-line run: the arithmetic on
+    /// both sides issues back to back, the barrier pays its release
+    /// latency between them.
     #[test]
     fn barrier_splits_blocks() {
-        let (finish, words, fused_instr, fused_blocks) = identical_runs(
+        let (finish, words) = identical_runs(
             4,
             |a| {
                 a.csrr(reg::T0, vortex_isa::csrs::THREAD_ID);
                 a.addi(reg::T1, reg::T0, 3);
                 a.slli(reg::T2, reg::T1, 1);
                 a.add(reg::T2, reg::T2, reg::T0);
-                // One-party barrier: releases immediately, but cuts the
-                // block structure around itself.
+                // One-party barrier: releases immediately.
                 a.li(reg::T3, 0);
                 a.li(reg::T4, 1);
                 a.vx_bar(reg::T3, reg::T4);
@@ -727,17 +726,15 @@ mod blocks {
         let expect: Vec<u32> =
             (0..4u32).map(|t| ((3 * t + 6) ^ 5).wrapping_sub(t) + (3 * t + 6)).collect();
         assert_eq!(words, expect);
-        assert!(fused_blocks >= 2, "both sides of the barrier should fuse");
-        assert!(fused_instr >= 6, "arithmetic around the barrier should fuse");
         assert_eq!(finish, GOLDEN_BARRIER_SPLIT, "barrier-split golden cycle drift");
     }
 
-    /// Memory ops are singleton cells: an alu/load/alu/store sandwich
-    /// fuses only the arithmetic runs, and the loads/stores go down the
-    /// ordinary memory pipeline unchanged.
+    /// An alu/store/load/alu/store sandwich: the loads and stores go
+    /// down the memory pipeline between the arithmetic runs, and the
+    /// dependent arithmetic waits on the load's completion.
     #[test]
     fn memory_ops_stay_singleton_blocks() {
-        let (finish, words, fused_instr, _) = identical_runs(
+        let (finish, words) = identical_runs(
             8,
             |a| {
                 a.csrr(reg::T0, vortex_isa::csrs::THREAD_ID);
@@ -745,27 +742,26 @@ mod blocks {
                 a.li_u32(reg::T2, 0x3000);
                 a.add(reg::T1, reg::T1, reg::T2);
                 a.addi(reg::T3, reg::T0, 7);
-                a.sw(reg::T3, 0, reg::T1); // singleton cell
-                a.lw(reg::T4, 0, reg::T1); // singleton cell
+                a.sw(reg::T3, 0, reg::T1);
+                a.lw(reg::T4, 0, reg::T1);
                 a.slli(reg::T4, reg::T4, 1);
                 a.addi(reg::T4, reg::T4, 1);
-                a.sw(reg::T4, 0x100, reg::T1); // singleton cell
+                a.sw(reg::T4, 0x100, reg::T1);
                 a.vx_tmc(reg::ZERO);
             },
             &[0x3100, 0x3104, 0x311C],
         );
         // out = 2*(tid+7)+1.
         assert_eq!(words, vec![15, 17, 29]);
-        assert!(fused_instr > 0, "the arithmetic runs should fuse");
         assert_eq!(finish, GOLDEN_MEM_SINGLETON, "mem-singleton golden cycle drift");
     }
 
-    /// A dst==src dependence chain inside one block: the static schedule
-    /// must serialise each step on the previous write-back exactly as the
-    /// scoreboard would, including the multiply latency in the middle.
+    /// A dst==src dependence chain: the scoreboard must serialise each
+    /// step on the previous write-back, including the multiply latency in
+    /// the middle.
     #[test]
     fn dst_eq_src_chain_schedules_exactly() {
-        let (finish, words, fused_instr, fused_blocks) = identical_runs(
+        let (finish, words) = identical_runs(
             4,
             |a| {
                 a.csrr(reg::T0, vortex_isa::csrs::THREAD_ID);
@@ -783,13 +779,12 @@ mod blocks {
         );
         // out = (2*(tid+2))^2 + 1.
         assert_eq!(words, vec![17, 37, 65, 101]);
-        assert!(fused_blocks >= 1 && fused_instr >= 5, "the chain should fuse as one block");
         assert_eq!(finish, GOLDEN_DST_SRC_CHAIN, "dst==src chain golden cycle drift");
     }
 
-    // Captured from the engine after it was verified bit-identical to the
-    // PR 5 binary over the 240-run grid (same convention as the golden
-    // tables above).
+    // Captured from the PR 6 engine after it was verified bit-identical to
+    // the PR 5 binary over the 240-run grid (same convention as the golden
+    // tables above); unchanged by the removal of fusion.
     const GOLDEN_JALR_MID_BLOCK: u64 = 134;
     const GOLDEN_BARRIER_SPLIT: u64 = 138;
     const GOLDEN_MEM_SINGLETON: u64 = 132;
