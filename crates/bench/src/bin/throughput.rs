@@ -19,7 +19,10 @@
 //! per access, from the PR 9 port counters) mark kernels serialising
 //! uncoalesced lines through the L1 ports; on a clustered topology
 //! (`--topo …xN`) a per-kernel footer breaks the same raw sums down by
-//! cluster.
+//! cluster. The last column, instructions per scheduling window (from
+//! the device's `SchedWork` counts), says how long a core runs between
+//! hand-backs to the device scan: hundreds when cores run ahead to
+//! their next L1 miss, 1 when a many-core device is back in lockstep.
 //!
 //! With `--cache DIR` the run opens the campaign result store first and
 //! prints its inventory — resident rows per kernel, store bytes, and
@@ -79,7 +82,7 @@ fn main() {
 
     println!(
         "{:<13} {:>7} {:>12} {:>14} {:>10} {:>9} {:>9} {:>6} {:>6} {:>10} {:>8} {:>8} {:>9} \
-         {:>8}",
+         {:>8} {:>8}",
         "kernel",
         "policy",
         "instructions",
@@ -93,7 +96,8 @@ fn main() {
         "rnds/ln",
         "lane/rnd",
         "port acc",
-        "stl/acc"
+        "stl/acc",
+        "ins/win"
     );
     for factory in kernel_factories(scale) {
         if let Some(ws) = &wanted {
@@ -111,6 +115,7 @@ fn main() {
         let mut kernel_mem = MemStats::default();
         let mut kernel_dispatch = DispatchStats::default();
         let mut kernel_ports = (0u64, 0u64);
+        let mut kernel_windows = 0u64;
         let mut kernel_cluster_ports = vec![(0u64, 0u64); config.num_clusters()];
         for policy in [LwsPolicy::Naive1, LwsPolicy::Fixed32, LwsPolicy::Auto] {
             let start = Instant::now();
@@ -119,6 +124,7 @@ fn main() {
             let mut mem = MemStats::default();
             let mut dispatch = DispatchStats::default();
             let mut ports = (0u64, 0u64);
+            let mut windows = 0u64;
             for _ in 0..reps {
                 // Count what the device actually issued: counter deltas
                 // around the run (the runtime resets counters per run, so
@@ -135,6 +141,7 @@ fn main() {
                 dispatch.accumulate(&outcome.dispatch);
                 ports.0 += outcome.port_accesses;
                 ports.1 += outcome.port_stall_slots;
+                windows += rt.device().sched_work().windows;
                 for (k, (acc, stl)) in rt.device().cluster_port_counters().iter().enumerate() {
                     kernel_cluster_ports[k].0 += acc;
                     kernel_cluster_ports[k].1 += stl;
@@ -143,7 +150,7 @@ fn main() {
             let dt = start.elapsed().as_secs_f64();
             println!(
                 "{:<13} {:>7} {:>12} {:>14} {:>10.1} {:>9.2} {:>9.2} {:>6.1} {:>6.1} {:>10} \
-                 {:>8.1} {:>8.1} {:>9} {:>8.2}",
+                 {:>8.1} {:>8.1} {:>9} {:>8.2} {:>8.1}",
                 factory.name,
                 policy.label(),
                 instructions / reps as u64,
@@ -158,6 +165,7 @@ fn main() {
                 dispatch.mean_lanes_per_round(),
                 ports.0 / reps as u64,
                 if ports.0 == 0 { 0.0 } else { ports.1 as f64 / ports.0 as f64 },
+                instructions as f64 / windows as f64,
             );
             kernel_instr += instructions;
             kernel_lanes += lanes;
@@ -166,10 +174,11 @@ fn main() {
             kernel_dispatch.accumulate(&dispatch);
             kernel_ports.0 += ports.0;
             kernel_ports.1 += ports.1;
+            kernel_windows += windows;
         }
         println!(
             "{:<13} {:>7} {:>12} {:>14} {:>10.1} {:>9.2} {:>9.2} {:>6.1} {:>6.1} {:>10} \
-             {:>8.1} {:>8.1} {:>9} {:>8.2}",
+             {:>8.1} {:>8.1} {:>9} {:>8.2} {:>8.1}",
             factory.name,
             "total",
             kernel_instr / reps as u64,
@@ -184,6 +193,7 @@ fn main() {
             kernel_dispatch.mean_lanes_per_round(),
             kernel_ports.0 / reps as u64,
             if kernel_ports.0 == 0 { 0.0 } else { kernel_ports.1 as f64 / kernel_ports.0 as f64 },
+            kernel_instr as f64 / kernel_windows as f64,
         );
         // On a clustered topology the per-cluster port sums show where
         // the memory-side contention concentrates (raw sums over all

@@ -292,9 +292,17 @@ impl Cache {
     }
 
     /// Checks whether the line containing `addr` is resident, without
-    /// updating any state.
+    /// updating any state — not the tick, the statistics, an LRU stamp
+    /// or the MRU entry — so a probe can never perturb the timing of the
+    /// accesses around it. The MRU entry is consulted first (it always
+    /// names a resident line: only the fill phase moves it), so a probe
+    /// of the line just accessed skips the set scan.
+    #[inline]
     pub fn probe(&self, addr: u32) -> bool {
         let line = addr >> self.line_shift;
+        if u64::from(line) == self.mru_line {
+            return true;
+        }
         let set = (line & self.set_mask) as usize;
         let tag = line >> self.set_shift;
         let ways = self.config.ways as usize;
@@ -389,13 +397,21 @@ mod tests {
     }
 
     #[test]
-    fn probe_does_not_mutate() {
+    fn probe_leaves_every_field_untouched() {
         let mut c = tiny();
-        c.access(0, false);
-        let before = c.stats();
-        assert!(c.probe(0));
+        c.access(0, true); // set 0, dirty
+        c.access(32, false); // set 0, second way
+        c.access(16, false); // set 1 — the MRU entry
+        let before = format!("{c:?}");
+        assert!(c.probe(16), "MRU hit");
+        assert!(c.probe(0) && c.probe(32 + 15), "set-scan hits");
+        assert!(!c.probe(64), "miss in a full set");
+        assert!(!c.probe(48), "miss in a half-empty set");
         assert!(!c.probe(999_999));
-        assert_eq!(c.stats(), before);
+        // Tick, stats, every way's LRU stamp and dirty bit, the MRU entry.
+        assert_eq!(format!("{c:?}"), before);
+        // So the next fill still evicts the LRU line (A), dirty.
+        assert_eq!(c.access(64, false), Lookup::Miss { writeback: Some(0) });
     }
 
     #[test]

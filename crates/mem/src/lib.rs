@@ -46,7 +46,7 @@ pub use cache::{Cache, CacheConfig, CacheGeometry, CacheStats, Lookup};
 pub use coalesce::{coalesce_lines, CoalescedLines};
 pub use dram::{DramChannel, DramConfig};
 pub use main_memory::MainMemory;
-pub use system::{BatchOutcome, MemConfig, MemStats, MemSystem};
+pub use system::{BatchOutcome, MemConfig, MemStats, MemSystem, PendingMiss};
 
 /// Simulation time in cycles.
 pub type Cycle = u64;

@@ -84,6 +84,19 @@ pub struct BatchOutcome {
     pub port_slots: Cycle,
 }
 
+/// One L1 miss whose leg below the L1 has not run yet: what the L1 phase
+/// of a split walk ([`MemSystem::access_batch_l1`]) hands to the
+/// downstream phase ([`MemSystem::finish_misses`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct PendingMiss {
+    /// Base address of the line to fetch.
+    line_addr: u32,
+    /// Base address of the dirty L1 victim the fill displaced, if any.
+    writeback: Option<u32>,
+    /// Cycle the L1 lookup resolved (`submit + l1_latency`).
+    l1_done: Cycle,
+}
+
 /// The timing model of the memory hierarchy.
 ///
 /// The primary entry point is [`access_batch`](MemSystem::access_batch):
@@ -94,7 +107,11 @@ pub struct BatchOutcome {
 /// the L2 bandwidth-slot bookings of a dirty-victim miss share one bank
 /// scan. The scalar [`load`](MemSystem::load)/[`store`](MemSystem::store)
 /// wrappers remain for single-line callers and tests; both paths run the
-/// identical downstream walk.
+/// identical downstream walk. The same walk can also be taken in two
+/// steps — [`access_batch_l1`](MemSystem::access_batch_l1) (one core's
+/// L1) then [`finish_misses`](MemSystem::finish_misses) (the shared
+/// levels) — which is how the simulator's cores call it, so that only
+/// the second step has to wait for its place in global time.
 ///
 /// All entry points take a request at an absolute cycle and return the
 /// cycle at which the data is available (loads) or the write has drained
@@ -334,7 +351,33 @@ impl MemSystem {
         now: Cycle,
         is_store: bool,
     ) -> BatchOutcome {
-        self.walk(core, lines.iter().copied(), now, is_store, None)
+        self.walk(core, lines.iter().copied(), now, is_store, None, None)
+    }
+
+    /// The **L1 phase** of [`access_batch`](MemSystem::access_batch):
+    /// walks the lines through `core`'s L1 only — tags, LRU, fills,
+    /// victim choice, port slots — and appends every miss to `misses`
+    /// instead of serving it. The returned completion covers the hits;
+    /// [`finish_misses`](MemSystem::finish_misses) runs the misses
+    /// through L2 and DRAM and returns theirs.
+    ///
+    /// The two phases touch disjoint state (a core's L1 on one side, the
+    /// shared L2, its bandwidth slots and the DRAM queues on the other),
+    /// so running them back to back is exactly `access_batch` — and
+    /// running the second one *later* changes nothing but the position
+    /// of this access's L2/DRAM bookings among those of other cores.
+    /// That is what lets a simulator walk a core's L1 ahead of global
+    /// time and order only what the cores share.
+    #[inline]
+    pub fn access_batch_l1(
+        &mut self,
+        core: usize,
+        lines: &[u32],
+        now: Cycle,
+        is_store: bool,
+        misses: &mut Vec<PendingMiss>,
+    ) -> BatchOutcome {
+        self.walk(core, lines.iter().copied(), now, is_store, None, Some(misses))
     }
 
     /// [`access_batch`](MemSystem::access_batch), additionally writing
@@ -351,7 +394,7 @@ impl MemSystem {
         completions: &mut Vec<Cycle>,
     ) -> BatchOutcome {
         completions.clear();
-        self.walk(core, lines.iter().copied(), now, is_store, Some(completions))
+        self.walk(core, lines.iter().copied(), now, is_store, Some(completions), None)
     }
 
     /// [`access_batch`](MemSystem::access_batch) for the contiguous
@@ -369,12 +412,60 @@ impl MemSystem {
         now: Cycle,
         is_store: bool,
     ) -> BatchOutcome {
+        self.walk_span(core, addr0, addr_last, now, is_store, None)
+    }
+
+    /// The L1 phase of [`access_span`](MemSystem::access_span) (see
+    /// [`access_batch_l1`](MemSystem::access_batch_l1)).
+    pub fn access_span_l1(
+        &mut self,
+        core: usize,
+        addr0: u32,
+        addr_last: u32,
+        now: Cycle,
+        is_store: bool,
+        misses: &mut Vec<PendingMiss>,
+    ) -> BatchOutcome {
+        self.walk_span(core, addr0, addr_last, now, is_store, Some(misses))
+    }
+
+    fn walk_span(
+        &mut self,
+        core: usize,
+        addr0: u32,
+        addr_last: u32,
+        now: Cycle,
+        is_store: bool,
+        defer: Option<&mut Vec<PendingMiss>>,
+    ) -> BatchOutcome {
         let line_bytes = self.config.l1.line_bytes;
         let first = addr0 & !(line_bytes - 1);
         let last = addr_last & !(line_bytes - 1);
         let nlines = (((last - first) >> line_bytes.trailing_zeros()) + 1) as usize;
         let lines = (0..nlines).map(|i| first + i as u32 * line_bytes);
-        self.walk(core, lines, now, is_store, None)
+        self.walk(core, lines, now, is_store, None, defer)
+    }
+
+    /// The **downstream phase** of a split walk: serves `misses` — in
+    /// order, as the one-pass walk would have — through L2 and DRAM,
+    /// drains the list and returns the latest fill completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `misses` is empty (there is no completion to return).
+    pub fn finish_misses(&mut self, misses: &mut Vec<PendingMiss>) -> Cycle {
+        let mut down = Downstream {
+            l2: &mut self.l2,
+            slots: &mut self.l2_next_slot,
+            dram: &mut self.dram,
+            l2_latency: self.config.l2_latency,
+            l2_interval: self.config.l2_interval,
+        };
+        misses
+            .drain(..)
+            .map(|m| down.miss(m.line_addr, m.writeback, m.l1_done))
+            .max()
+            .expect("a split walk is finished only when it missed")
     }
 
     /// The one shared batch walk (see [`access_batch`]
@@ -382,7 +473,8 @@ impl MemSystem {
     /// line iterator so the coalesced-slice and arithmetic-span entry
     /// points monomorphise without buffering; `completions` is `None` on
     /// the simulator's hot path, and after inlining the constant folds
-    /// the recording away.
+    /// the recording away. With `defer`, misses are appended to it
+    /// instead of being served (the L1 phase of a split walk).
     fn walk<I: ExactSizeIterator<Item = u32>>(
         &mut self,
         core: usize,
@@ -390,6 +482,7 @@ impl MemSystem {
         now: Cycle,
         is_store: bool,
         mut completions: Option<&mut Vec<Cycle>>,
+        mut defer: Option<&mut Vec<PendingMiss>>,
     ) -> BatchOutcome {
         let nlines = lines.len() as u64;
         if nlines == 0 {
@@ -434,9 +527,16 @@ impl MemSystem {
                 };
                 down.miss(line_addr, writeback, l1_done)
             };
+            let l1_done = at + l1_latency;
             let done = match l1.access_line(line, is_store) {
-                Lookup::Hit => at + l1_latency,
-                Lookup::Miss { writeback } => miss(writeback, at + l1_latency),
+                Lookup::Hit => l1_done,
+                Lookup::Miss { writeback } => match defer.as_deref_mut() {
+                    None => miss(writeback, l1_done),
+                    Some(misses) => {
+                        misses.push(PendingMiss { line_addr, writeback, l1_done });
+                        l1_done
+                    }
+                },
             };
             if let Some(buf) = completions.as_deref_mut() {
                 buf.push(done);
@@ -819,6 +919,58 @@ mod tests {
         let explicit_out = explicit.access_batch(0, &lines, 77, false);
         assert_eq!(span_out, explicit_out);
         assert_eq!(s.stats(), explicit.stats());
+    }
+
+    /// The split walk — L1 phase now, downstream phase after *another
+    /// core's* traffic has gone through the shared levels — against the
+    /// one-pass walk submitted at that later position: same completions,
+    /// same statistics, same state for whatever comes next.
+    #[test]
+    fn split_walk_equals_one_pass_at_the_position_of_its_second_phase() {
+        let config = MemConfig {
+            l1: CacheConfig { size_bytes: 1024, ways: 1, line_bytes: 64 },
+            l1_banks: 2,
+            l2_banks: 1,
+            l2_interval: 3,
+            ..MemConfig::default()
+        };
+        let mut split = MemSystem::new(2, config);
+        // Warm and dirty part of core 0's L1 so the access mixes hits,
+        // clean misses and dirty-victim misses over several bank groups.
+        for i in 0..6u32 {
+            split.store(0, 0x1000 + i * 128, 0);
+        }
+        let mut one_pass = split.clone();
+        // set 0 hit, set 1 clean miss, set 2 dirty victim, set 4 hit, …
+        let lines = [0x1000, 0x1440, 0x1480, 0x1100, 0x1540, 0x1580, 0x1200, 0x15C0];
+        let other: Vec<u32> = (0..5u32).map(|i| 0x9000 + i * 64).collect();
+
+        let mut misses = Vec::new();
+        let l1 = split.access_batch_l1(0, &lines, 40, false, &mut misses);
+        assert_eq!(misses.len(), 5, "a hit/miss mix");
+        assert_eq!(misses.iter().filter(|m| m.writeback.is_some()).count(), 2);
+        let between = split.access_batch(1, &other, 40, false);
+        let completion = l1.completion.max(split.finish_misses(&mut misses));
+        assert!(misses.is_empty());
+
+        assert_eq!(one_pass.access_batch(1, &other, 40, false), between);
+        let whole = one_pass.access_batch(0, &lines, 40, false);
+        assert_eq!(BatchOutcome { completion, port_slots: l1.port_slots }, whole);
+        assert_eq!(split.stats(), one_pass.stats());
+        assert_eq!(split.port_totals(), one_pass.port_totals());
+        assert_eq!(split.access_span(1, 0x1000, 0x1400, 500, true), {
+            one_pass.access_span(1, 0x1000, 0x1400, 500, true)
+        });
+
+        // An all-hit access defers nothing; the span form splits alike.
+        let hits = split.access_batch_l1(0, &lines[..2], 900, false, &mut misses);
+        assert!(misses.is_empty());
+        assert_eq!(hits, one_pass.access_batch(0, &lines[..2], 900, false));
+        let l1 = split.access_span_l1(0, 0x4_0000, 0x4_0040, 950, true, &mut misses);
+        assert_eq!(misses.len(), 2);
+        let completion = l1.completion.max(split.finish_misses(&mut misses));
+        assert_eq!(completion, one_pass.access_span(0, 0x4_0000, 0x4_0040, 950, true).completion);
+        assert_eq!(split.stats(), one_pass.stats());
     }
 
     #[test]

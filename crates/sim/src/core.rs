@@ -18,16 +18,15 @@
 //! per-core array rather than a per-warp heap allocation, so hazard
 //! checks stay within one cache line per warp.
 
-use std::collections::HashMap;
-
 use vortex_isa::{
     csrs, AluImmOp, AluOp, Csr, ExecClass, FpBinOp, Instr, LoadWidth, StoreWidth, VoteOp,
 };
-use vortex_mem::{coalesce_lines, Cycle, MainMemory, MemSystem};
+use vortex_mem::{coalesce_lines, Cycle, MainMemory, MemSystem, PendingMiss};
 
 use crate::config::TimingConfig;
 use crate::counters::DeviceCounters;
 use crate::decoded::{DecodedInstr, InstrMeta};
+use crate::device::SchedWork;
 use crate::error::SimError;
 use crate::exec::span::{self, Span};
 use crate::exec::tables;
@@ -62,6 +61,13 @@ pub(crate) struct CoreCtx<'a, S: TraceSink + ?Sized> {
     /// hazards and memory-system timing are the same code either way, so
     /// cycles and counters are bit-identical.
     pub replay: Option<ReplayCtx<'a>>,
+    /// The hard bound of a run that may run ahead (one past the run's
+    /// cycle limit): cores simulate core-local work up to it, whatever
+    /// the device horizon. `None` keeps every core inside the horizon —
+    /// strict global `(cycle, core)` order (see [`Core::run_until`]).
+    pub run_ahead_to: Option<Cycle>,
+    /// Deterministic scheduler work counts of this run.
+    pub work: &'a mut SchedWork,
 }
 
 /// What one issued instruction did that its timing depends on and the
@@ -177,18 +183,33 @@ fn set_lanes(addrs: &[u32], mut lanes: u32) -> impl Iterator<Item = u32> + '_ {
     })
 }
 
-#[derive(Debug, Default)]
-struct BarrierState {
-    arrived: Vec<usize>,
-}
-
 /// The outcome of running a core up to an event horizon.
 pub(crate) enum CoreOutcome {
-    /// The core's next internal event lies at this cycle (≥ the horizon);
+    /// The core's next action — possibly the shared half of a memory
+    /// instruction it has parked — lies at this cycle (≥ the horizon);
     /// re-run it when global time gets there.
     Next(Cycle),
     /// All warps halted; core is idle.
     Idle,
+}
+
+/// An instruction between the two ends of [`Core::issue`]'s shared tail:
+/// its outcome is applied and, if it accesses memory, its L1 walk is
+/// done; what is left is [`Core::retire`]. A memory instruction that
+/// issued past the device horizon and missed in the L1 waits in this
+/// state ([`Core::parked`], its misses in [`Core::misses`]) until the
+/// device reaches `(now, core)` in global order.
+#[derive(Copy, Clone, Debug)]
+struct Issued {
+    w: usize,
+    instr: Instr,
+    meta: InstrMeta,
+    /// The issue cycle.
+    now: Cycle,
+    /// PC of the warp after the instruction.
+    next_pc: u32,
+    /// Completion of the memory access (of its L1 hits while parked).
+    completion: Cycle,
 }
 
 /// Cached scheduling state for one warp's *next* instruction, filled
@@ -235,7 +256,11 @@ pub(crate) struct Core {
     /// Lane-major register rows + scoreboard of every warp (see
     /// [`RegFile`]).
     rf: RegFile,
-    barriers: HashMap<u32, BarrierState>,
+    /// Open barriers as `(id, arrived-warp mask)` pairs: a core has at
+    /// most 32 warps and a handful of barriers in flight, so a linear
+    /// scan of a resident vector beats hashing, and arriving allocates
+    /// nothing.
+    barriers: Vec<(u32, u32)>,
     last_issued: usize,
     mem_port_free: Cycle,
     /// Per-warp lower bound on the next possible issue cycle (`NEVER` for
@@ -247,6 +272,12 @@ pub(crate) struct Core {
     warp_next: Vec<Cycle>,
     /// Per-warp pre-fetched next instruction and its hazard time.
     next_issue: Vec<NextIssue>,
+    /// L1 misses of the memory instruction being issued, between the two
+    /// phases of its walk (a resident scratch list: empty whenever no
+    /// instruction is mid-issue or parked).
+    misses: Vec<PendingMiss>,
+    /// The instruction waiting for its place in the global order, if any.
+    parked: Option<Issued>,
     /// Whether any warp was ever started since the last reset. An
     /// untouched core holds only default state, so [`Core::reset`] can
     /// skip it entirely — device resets stay O(touched cores), not
@@ -260,11 +291,13 @@ impl Core {
             id,
             warps: (0..warps).map(|_| WarpState::new(threads)).collect(),
             rf: RegFile::new(warps, threads),
-            barriers: HashMap::new(),
+            barriers: Vec::new(),
             last_issued: 0,
             mem_port_free: 0,
             warp_next: vec![NEVER; warps],
             next_issue: vec![NextIssue::INVALID; warps],
+            misses: Vec::new(),
+            parked: None,
             touched: false,
         }
     }
@@ -326,6 +359,8 @@ impl Core {
         self.mem_port_free = 0;
         self.warp_next.fill(NEVER);
         self.next_issue.fill(NextIssue::INVALID);
+        self.misses.clear();
+        self.parked = None;
         self.touched = false;
         true
     }
@@ -426,16 +461,43 @@ impl Core {
         };
     }
 
-    /// Runs this core from cycle `start` until its next internal event
-    /// would land at or beyond `horizon` — the conservative-lookahead
-    /// core of the event loop. The caller (the device) guarantees that no
-    /// *other* core acts in `[start, horizon)`, so everything this core
-    /// does in that window — issues, counter increments, memory-system
-    /// traffic, trace events — happens in exactly the global
-    /// `(cycle, core)` order the one-step-per-pop loop produced, while
-    /// paying the event-queue cost once per *window* instead of once per
-    /// issue. `clock` tracks the last cycle actually simulated (the
-    /// device's clock, also read by `mcycle`).
+    /// Runs this core from cycle `start` until it has to hand control
+    /// back to the device — the conservative-lookahead core of the event
+    /// loop. Two bounds apply.
+    ///
+    /// **The horizon orders shared state.** The caller (the device)
+    /// guarantees that no *other* core touches what cores share — the L2
+    /// tags and bandwidth slots and the DRAM queues — in
+    /// `[start, horizon)`, so inside that window this core does
+    /// anything. At or past the horizon it keeps doing whatever is
+    /// **core-local**: ALU/FPU work, control flow, barriers and warp
+    /// spawns (all per core), and the L1 phase of every memory
+    /// instruction — its walk through this core's own L1, which no other
+    /// core reads or writes; the device-wide counters instructions bump
+    /// are order-free sums. Only an instruction that *misses* has a
+    /// shared half, the fills below the L1
+    /// ([`MemSystem::finish_misses`]): past the horizon it is parked
+    /// ([`Core::parked`]) with that half undone, the core returns `Next(now)`, and the
+    /// device's `(cycle, core)` scan calls back when global time gets
+    /// there — the call starts by serving the fills and retiring the
+    /// instruction. The L1 and the levels below it are disjoint state, so
+    /// the two halves may run apart; shared state sees exactly the
+    /// request sequence of the cycle-by-cycle interleaving (equal cycles
+    /// in ascending core id, whichever core the host reached first),
+    /// while the core-local bulk of the stream costs one call per L1
+    /// *miss* instead of one per lockstep cycle — and the host cache
+    /// keeps one core's register file and tag array hot for the whole
+    /// stretch.
+    ///
+    /// **The hard bound stops everything.** With
+    /// [`CoreCtx::run_ahead_to`] set (one past the run's cycle limit)
+    /// nothing is simulated that a `CycleLimit` would have cut off.
+    /// `None` makes the horizon itself the hard bound — the strict
+    /// windows a [`TraceSink`] needs to see `on_issue` in global order.
+    ///
+    /// `clock` is the device clock, the latest cycle any core simulated:
+    /// a running max, since a core that ran ahead may be followed by one
+    /// that is behind it.
     ///
     /// Within one cycle: warps whose cached
     /// [`warp_next`](Core::warp_next) bound lies in the future are
@@ -448,38 +510,57 @@ impl Core {
         clock: &mut Cycle,
         ctx: &mut CoreCtx<'_, S>,
     ) -> Result<CoreOutcome, SimError> {
+        ctx.work.windows += 1;
+        let hard = ctx.run_ahead_to.unwrap_or(horizon);
         let n = self.warps.len();
         let mut now = start;
         loop {
-            *clock = now;
-            // Arbitration: the first warp in round-robin order (wrapping
-            // by compare — `% n` would put a hardware division on every
-            // slot) whose resolved issue time is due. Slots whose cached
-            // bound lies in the future are skipped with a single `u64`
-            // compare; optimistic bounds resolve through `next_for` and
-            // are tightened in place, so a lost round never repeats work.
-            let mut issued = false;
-            let mut issued_next: Cycle = 0;
-            let mut w = self.last_issued;
-            for _ in 0..n {
-                w += 1;
-                if w >= n {
-                    w = 0;
+            *clock = (*clock).max(now);
+            // The warp that issues this cycle, if any.
+            let mut issued = None;
+            if let Some(mut parked) = self.parked.take() {
+                // Global time has reached the parked instruction (the
+                // device calls back at exactly its cycle): its fills go
+                // below the L1 now, in order, and it retires.
+                debug_assert_eq!(parked.now, now);
+                parked.completion = parked.completion.max(self.finish_misses(ctx));
+                self.retire(parked, ctx.timing)?;
+                issued = Some(parked.w);
+            } else {
+                // Arbitration: the first warp in round-robin order
+                // (wrapping by compare — `% n` would put a hardware
+                // division on every slot) whose resolved issue time is
+                // due. Slots whose cached bound lies in the future are
+                // skipped with a single `u64` compare; optimistic bounds
+                // resolve through `next_for` and are tightened in place,
+                // so a lost round never repeats work.
+                let mut w = self.last_issued;
+                for _ in 0..n {
+                    w += 1;
+                    if w >= n {
+                        w = 0;
+                    }
+                    if self.warp_next[w] > now {
+                        continue;
+                    }
+                    let (instr, meta, t) = self.next_for(w, ctx)?;
+                    if t <= now {
+                        self.issue(w, instr, &meta, now, horizon, ctx)?;
+                        if self.parked.is_some() {
+                            ctx.work.deferred += 1;
+                            return Ok(CoreOutcome::Next(now));
+                        }
+                        issued = Some(w);
+                        break;
+                    }
+                    self.warp_next[w] = t;
                 }
-                if self.warp_next[w] > now {
-                    continue;
-                }
-                let (instr, meta, t) = self.next_for(w, ctx)?;
-                if t <= now {
-                    self.issue(w, instr, &meta, now, ctx)?;
-                    self.last_issued = w;
-                    self.refresh_after_issue(w, ctx);
-                    issued = true;
-                    issued_next = self.warp_next[w];
-                    break;
-                }
-                self.warp_next[w] = t;
             }
+            let issued_next = issued.map(|w| {
+                self.last_issued = w;
+                self.refresh_after_issue(w, ctx);
+                self.warp_next[w]
+            });
             // Next event. An issued warp due again by `now + 1`
             // (latency-1 result, untaken branch) short-circuits the
             // bounds min — the dominant case in ALU-dense stretches.
@@ -489,31 +570,44 @@ impl Core {
             // release, wspawn) are already visible. During a stall no
             // warp is walked at all beyond the arbitration pass that
             // tightened the bounds.
-            let next = if issued && issued_next <= now + 1 {
-                now + 1
-            } else {
-                let m = self.next_event();
-                if m == NEVER {
-                    return if self.warps.iter().any(|x| x.active) {
-                        // Only barrier-blocked warps remain.
-                        Err(SimError::BarrierDeadlock { cycle: now })
+            let next = match issued_next {
+                Some(at) if at <= now + 1 => now + 1,
+                _ => {
+                    let m = self.next_event();
+                    if m == NEVER {
+                        return if self.warps.iter().any(|x| x.active) {
+                            // Only barrier-blocked warps remain.
+                            let waiting =
+                                self.barriers.iter().fold(0, |m, &(_, arrived)| m | arrived);
+                            Err(SimError::BarrierDeadlock { cycle: now, core: self.id, waiting })
+                        } else {
+                            Ok(CoreOutcome::Idle)
+                        };
+                    }
+                    // One issue per core per cycle; beyond that, resume
+                    // at the earliest time any warp could possibly issue.
+                    if issued_next.is_some() {
+                        m.max(now + 1)
                     } else {
-                        Ok(CoreOutcome::Idle)
-                    };
-                }
-                // One issue per core per cycle; beyond that, resume at
-                // the earliest time any warp could possibly issue.
-                if issued {
-                    m.max(now + 1)
-                } else {
-                    m
+                        m
+                    }
                 }
             };
-            if next >= horizon {
+            if next >= hard {
                 return Ok(CoreOutcome::Next(next));
             }
             now = next;
         }
+    }
+
+    /// The downstream phase of the walk whose misses are waiting in
+    /// [`Core::misses`]: serves them through L2 and DRAM — shared state,
+    /// so only ever called at this instruction's place in the global
+    /// order — and returns the latest fill.
+    fn finish_misses<S: TraceSink + ?Sized>(&mut self, ctx: &mut CoreCtx<'_, S>) -> Cycle {
+        let filled = ctx.memsys.finish_misses(&mut self.misses);
+        *ctx.horizon = (*ctx.horizon).max(filled);
+        filled
     }
 
     /// Issues `instr` for warp `w` at cycle `now` — the one
@@ -526,12 +620,19 @@ impl Core {
     /// uniformity/divergence checks the recorded run already passed are
     /// skipped). The **shared tail** turns that outcome into timing — so
     /// cycles and counters cannot depend on which source ran.
+    ///
+    /// A memory instruction walks the hierarchy in two phases: this
+    /// core's L1 first, then — for the lines that missed — L2 and DRAM.
+    /// At `now ≥ horizon` the second phase must wait for the device to
+    /// order it, so the instruction is left in [`Core::parked`] and the
+    /// walk resumes in [`Core::run_until`].
     fn issue<S: TraceSink + ?Sized>(
         &mut self,
         w: usize,
         instr: Instr,
         meta: &InstrMeta,
         now: Cycle,
+        horizon: Cycle,
         ctx: &mut CoreCtx<'_, S>,
     ) -> Result<(), SimError> {
         let pc = self.warps[w].pc;
@@ -595,12 +696,22 @@ impl Core {
             }
             Outcome::Bar { id, count } => {
                 self.warps[w].pc = next_pc;
-                let state = self.barriers.entry(id).or_default();
-                state.arrived.push(w);
-                if state.arrived.len() >= count as usize {
-                    // Warp `w` is among the released warps.
-                    let released = self.barriers.remove(&id).expect("just inserted");
-                    for rw in released.arrived {
+                let slot = match self.barriers.iter().position(|&(open, _)| open == id) {
+                    Some(slot) => slot,
+                    None => {
+                        self.barriers.push((id, 0));
+                        self.barriers.len() - 1
+                    }
+                };
+                self.barriers[slot].1 |= 1 << w;
+                let mut arrived = self.barriers[slot].1;
+                if arrived.count_ones() >= count {
+                    // Warp `w` is among the released warps; they all get
+                    // the same ready time, so release order is immaterial.
+                    self.barriers.swap_remove(slot);
+                    while arrived != 0 {
+                        let rw = arrived.trailing_zeros() as usize;
+                        arrived &= arrived - 1;
                         self.warps[rw].at_barrier = None;
                         self.warps[rw].ready_at = now + timing.barrier;
                         self.warp_next[rw] = now + timing.barrier;
@@ -615,20 +726,22 @@ impl Core {
             }
             // One SIMT memory instruction is one walk of the hierarchy
             // (L1 bank serialisation, L2 bandwidth slots and DRAM
-            // queueing all happen inside it). A contiguous span's
-            // coalesced line sequence is exactly the ascending run of
-            // line bases it covers, generated arithmetically
-            // ([`MemSystem::access_span`]); a lane set is coalesced
-            // against *this* run's line size first.
+            // queueing all happen inside it), L1 phase first. A
+            // contiguous span's coalesced line sequence is exactly the
+            // ascending run of line bases it covers, generated
+            // arithmetically ([`MemSystem::access_span_l1`]); a lane set
+            // is coalesced against *this* run's line size first.
             Outcome::MemSpan { addr0, last } => {
-                let mem = ctx.memsys.access_span(self.id, addr0, last, now, is_store);
+                let misses = &mut self.misses;
+                let mem = ctx.memsys.access_span_l1(self.id, addr0, last, now, is_store, misses);
                 self.mem_port_free = now + mem.port_slots;
                 *ctx.horizon = (*ctx.horizon).max(mem.completion);
                 completion = mem.completion;
             }
             Outcome::MemLanes { addrs, lanes } => {
                 let lines = coalesce_lines(set_lanes(addrs, lanes), ctx.line_bytes);
-                let mem = ctx.memsys.access_batch(self.id, lines.as_slice(), now, is_store);
+                let (lines, misses) = (lines.as_slice(), &mut self.misses);
+                let mem = ctx.memsys.access_batch_l1(self.id, lines, now, is_store, misses);
                 self.mem_port_free = now + mem.port_slots;
                 if !lines.is_empty() {
                     *ctx.horizon = (*ctx.horizon).max(mem.completion);
@@ -636,7 +749,23 @@ impl Core {
                 completion = mem.completion;
             }
         }
+        let mut issued = Issued { w, instr, meta: *meta, now, next_pc, completion };
+        if !self.misses.is_empty() {
+            if now >= horizon {
+                self.parked = Some(issued);
+                return Ok(());
+            }
+            issued.completion = completion.max(self.finish_misses(ctx));
+        }
+        self.retire(issued, timing)
+    }
 
+    /// The end of the shared tail: books the write-back of the
+    /// instruction's destination — the access's completion for a load —
+    /// and moves the warp on to its next PC.
+    fn retire(&mut self, issued: Issued, timing: &TimingConfig) -> Result<(), SimError> {
+        let Issued { w, instr, meta, now, next_pc, completion } = issued;
+        let pc = self.warps[w].pc;
         // When the destination (`meta.dst`) becomes readable. Keyed on the
         // *instruction*, not the exec class: `vote`/`csr` write at ALU
         // latency despite their classes, FP compares/converts write
@@ -823,12 +952,7 @@ impl Core {
                         return Ok(span);
                     }
                 }
-                let bytes = match width {
-                    StoreWidth::Byte => 1,
-                    StoreWidth::Half => 2,
-                    StoreWidth::Word => 4,
-                };
-                lane_addrs!(rs1, offset, bytes);
+                lane_addrs!(rs1, offset, store_width_bytes(width));
                 let vals = self.rf.row(w, rs2.num() as usize);
                 for_lanes!(|l| match width {
                     StoreWidth::Byte => ctx.mem.write_u8(addrs[l], vals[l] as u8),
@@ -1428,6 +1552,14 @@ fn load_width_bytes(width: LoadWidth) -> u32 {
         LoadWidth::Byte | LoadWidth::ByteU => 1,
         LoadWidth::Half | LoadWidth::HalfU => 2,
         LoadWidth::Word => 4,
+    }
+}
+
+fn store_width_bytes(width: StoreWidth) -> u32 {
+    match width {
+        StoreWidth::Byte => 1,
+        StoreWidth::Half => 2,
+        StoreWidth::Word => 4,
     }
 }
 

@@ -1,6 +1,7 @@
 //! The multi-core device and its event-driven run loop.
 
 use vortex_asm::Program;
+use vortex_isa::{csrs, Instr};
 use vortex_mem::{Cycle, MainMemory, MemStats, MemSystem};
 
 use crate::cluster::Clusters;
@@ -23,6 +24,24 @@ pub struct ResetWork {
     /// L1 caches whose ways were actually swept (caches that served no
     /// access since the previous reset are skipped).
     pub l1_caches: usize,
+}
+
+/// How much scheduling the device's run loop did since the last
+/// [`Device::reset`] — deterministic host-side work counts (exact on any
+/// machine, where wall time is not), bumped once per scheduling step and
+/// never per instruction. `instructions / windows` is the mean length of
+/// a core's uninterrupted stretch: 1 under lockstep strict order on a
+/// busy many-core device, tens to hundreds when cores run ahead to their
+/// next L1 miss (see [`Device::run`]).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct SchedWork {
+    /// Scans of the scheduled-core events for the earliest one.
+    pub rounds: u64,
+    /// Times a core was handed control (`run_until` calls).
+    pub windows: u64,
+    /// Windows that ended with a memory instruction parked at an L1
+    /// miss, its fills left for the `(cycle, core)` scan to order.
+    pub deferred: u64,
 }
 
 /// A complete Vortex-like GPGPU device.
@@ -53,8 +72,14 @@ pub struct Device {
     /// instruction.
     code_words: Vec<u32>,
     code_base: u32,
+    /// Whether the loaded program reads `minstret[h]`, the one value a
+    /// core can observe that depends on what *other* cores have issued:
+    /// such a program runs in strict order (see [`run`](Device::run)).
+    reads_minstret: bool,
     /// Work done by the most recent [`reset`](Device::reset).
     last_reset_work: ResetWork,
+    /// Scheduler work counts since the last [`reset`](Device::reset).
+    sched_work: SchedWork,
     cycle: Cycle,
     horizon: Cycle,
     counters: DeviceCounters,
@@ -90,7 +115,9 @@ impl Device {
             code: Vec::new(),
             code_words: Vec::new(),
             code_base: 0,
+            reads_minstret: false,
             last_reset_work: ResetWork::default(),
+            sched_work: SchedWork::default(),
             cycle: 0,
             horizon: 0,
             counters: DeviceCounters::default(),
@@ -121,6 +148,9 @@ impl Device {
         self.code = program.instrs().iter().copied().map(DecodedInstr::of).collect();
         self.code_words = program.words().to_vec();
         self.code_base = program.entry();
+        self.reads_minstret = program.instrs().iter().any(|i| {
+            matches!(i, Instr::Csr { csr, .. } if *csr == csrs::MINSTRET || *csr == csrs::MINSTRET_H)
+        });
         self.mem.write_u32_slice(program.entry(), program.words());
     }
 
@@ -128,6 +158,12 @@ impl Device {
     /// swept (the O(touched-state) reset contract, white-box testable).
     pub fn last_reset_work(&self) -> ResetWork {
         self.last_reset_work
+    }
+
+    /// Scheduler work counts since the last [`reset`](Device::reset)
+    /// (accumulated over runs, like [`counters`](Device::counters)).
+    pub fn sched_work(&self) -> SchedWork {
+        self.sched_work
     }
 
     /// Read access to architectural memory (host side).
@@ -218,11 +254,41 @@ impl Device {
     /// callers holding a `dyn` option pay virtual dispatch only when a
     /// sink is actually attached.
     ///
+    /// # Order of simulation
+    ///
+    /// The modelled machine advances all cores together; the simulator
+    /// orders cores only where they can affect each other. Cores share
+    /// the L2, its bandwidth slots and the DRAM queues, so every request
+    /// that reaches those — the fills of a memory instruction with at
+    /// least one line missing from the issuing core's L1 — is made in
+    /// global `(cycle, core)` order, equal cycles in ascending core id.
+    /// All other work (ALU/FPU, control flow, barriers and spawns, the
+    /// L1 side of every memory instruction) is core-local, and an
+    /// untraced run simulates it *ahead* of the other cores, up to the
+    /// core's next miss or the cycle limit. With a sink attached, or a
+    /// loaded program that reads `minstret` (a count of what every core
+    /// has issued), the run keeps strict `(cycle, core)` order for
+    /// everything. Successful launches of data-race-free programs are
+    /// bit-identical in both orders — cycles, counters, memory
+    /// statistics, memory contents. Two things are not defined: which
+    /// fault is reported when several cores fault in one launch (a
+    /// fault is raised where its core detects it, which can be before
+    /// one that is earlier in simulated time), and the result of a
+    /// program that depends on the relative order of two cores'
+    /// accesses to the same word within a launch — the device has no
+    /// inter-core synchronisation inside a launch, so such a program
+    /// races on the real machine too. After a fault the device is
+    /// mid-launch (a core may hold a parked instruction) and must be
+    /// [`reset`](Device::reset) before reuse; a `CycleLimit` leaves
+    /// nothing parked — a parked instruction's cycle is within the
+    /// limit, so it is served before the limit trips.
+    ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] describing the first fatal condition: an
+    /// Returns a [`SimError`] describing a fatal condition: an
     /// execution-model violation, a trap, a barrier deadlock, or
-    /// [`SimError::CycleLimit`] when `limit` is reached.
+    /// [`SimError::CycleLimit`] when `limit` is reached (nothing is
+    /// simulated past the limit in either order).
     pub fn run<'a, 'b>(
         &mut self,
         limit: Cycle,
@@ -310,7 +376,9 @@ impl Device {
             code,
             code_words: _,
             code_base,
+            reads_minstret,
             last_reset_work: _,
+            sched_work,
             cycle,
             horizon,
             counters,
@@ -341,6 +409,13 @@ impl Device {
         // place, so rounds of a shrinking launch keep getting cheaper.
         clusters.begin_run(*cycle);
 
+        // Cores may run ahead of the horizon (see the loop below) unless
+        // something can observe how their core-local work interleaves: a
+        // sink sees `on_issue` order, and `minstret` reads a counter that
+        // every core's issues bump — ordering the read alone would not
+        // do, the cores that already ran past it have been counted.
+        let run_ahead_to = (trace.is_none() && !*reads_minstret).then(|| limit.saturating_add(1));
+
         // One context for the whole run: it borrows device state disjoint
         // from `cores`, so it does not need rebuilding per step.
         let line_bytes = memsys.line_bytes();
@@ -357,18 +432,29 @@ impl Device {
             horizon: &mut *horizon,
             line_bytes,
             replay,
+            run_ahead_to,
+            work: &mut *sched_work,
         };
 
         // Conservative-lookahead event loop: find the earliest-due cores
-        // and let each simulate up to the next *other* core's event time
-        // in one call — no other core can act inside its window, so the
-        // partition into windows is observationally irrelevant; what is
-        // pinned is the global `(cycle, core)` order of simulated
-        // actions, and the scan visits same-cycle cores in ascending id
-        // order, exactly as the heap's tie-break did. A solo due core
-        // (always the case on single-core devices, and the common case
-        // once many-core runs desynchronise) gets the full window to the
-        // runner-up event; same-cycle peers each get one cycle.
+        // and hand each a window that ends at the next *other* core's
+        // event time. What is pinned is the global `(cycle, core)` order
+        // of every action on state cores **share** — the L2, its
+        // bandwidth slots, the DRAM queues: the scan visits same-cycle
+        // cores in ascending id order, exactly as the heap's tie-break
+        // did, and a core issues a shared-state access only inside its
+        // window. Core-local work is not bound by the window: an untraced
+        // core keeps going past it until its next L1 miss (or the cycle
+        // limit) and parks there — L1 walked, fills not yet requested —
+        // as its pending event. So the events this loop orders are the
+        // cores' *misses*, a few percent of the stream, not their every
+        // cycle, and two cores that reach misses at one cycle still book
+        // L2 slots in ascending core id whichever the host simulated
+        // first (see [`Core::run_until`]).
+        // A solo due core (always the case on single-core devices) gets
+        // the full window to the runner-up event; same-cycle peers each
+        // get one cycle of it. With a sink attached the window bounds
+        // everything and the run is the strict interleaving itself.
         //
         // The scan is *hierarchical*: a first pass walks one cached
         // minimum per live cluster segment, and only the segments that
@@ -382,6 +468,7 @@ impl Device {
         // ascending by core id for every `cores_per_cluster`, which the
         // clustered-vs-flat cycle_dump gate in CI pins.
         loop {
+            ctx.work.rounds += 1;
             // Pass 1 over the cached segment minima: earliest event, its
             // segment, how many segments share it, and the best other
             // segment's minimum (the cross-segment runner-up).
@@ -570,6 +657,7 @@ impl Device {
         self.mem.clear();
         work.l1_caches = self.memsys.reset();
         self.last_reset_work = work;
+        self.sched_work = SchedWork::default();
         self.cycle = 0;
         self.horizon = 0;
         self.counters = DeviceCounters::default();

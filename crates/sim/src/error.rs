@@ -66,11 +66,16 @@ pub enum SimError {
         /// `true` for `ebreak`, `false` for `ecall`.
         breakpoint: bool,
     },
-    /// All remaining warps are blocked on barriers that can never be
-    /// satisfied.
+    /// Every warp still active on a core is blocked on a barrier that can
+    /// never be satisfied (barriers are core-local: no other core can
+    /// release them).
     BarrierDeadlock {
         /// Cycle at which the deadlock was detected.
         cycle: Cycle,
+        /// The core whose warps are stuck.
+        core: usize,
+        /// Bit mask of the warps waiting at a barrier (bit `w` = warp `w`).
+        waiting: u32,
     },
     /// The run exceeded its cycle budget.
     CycleLimit {
@@ -145,8 +150,15 @@ impl fmt::Display for SimError {
                 let kind = if *breakpoint { "ebreak" } else { "ecall" };
                 write!(f, "{kind} trap at {pc:#010x}")
             }
-            SimError::BarrierDeadlock { cycle } => {
-                write!(f, "barrier deadlock detected at cycle {cycle}")
+            SimError::BarrierDeadlock { cycle, core, waiting } => {
+                let warps: Vec<String> =
+                    (0..32).filter(|w| waiting >> w & 1 != 0).map(|w| w.to_string()).collect();
+                write!(
+                    f,
+                    "barrier deadlock detected at cycle {cycle}: core {core} warps [{}] wait at \
+                     barriers no remaining warp can release",
+                    warps.join(", ")
+                )
             }
             SimError::CycleLimit { limit } => {
                 write!(f, "cycle limit of {limit} exhausted before completion")
@@ -183,5 +195,7 @@ mod tests {
         assert!(e.to_string().contains("vx_split"));
         let e = SimError::CycleLimit { limit: 500 };
         assert!(e.to_string().contains("500"));
+        let e = SimError::BarrierDeadlock { cycle: 77, core: 3, waiting: 0b1010 };
+        assert!(e.to_string().contains("cycle 77: core 3 warps [1, 3] wait"), "{e}");
     }
 }

@@ -63,7 +63,7 @@ mod warp;
 
 pub use config::{DeviceConfig, TimingConfig};
 pub use counters::{ClassCounts, DeviceCounters};
-pub use device::{Device, ResetWork};
+pub use device::{Device, ResetWork, SchedWork};
 pub use error::SimError;
 pub use ipdom::IpdomEntry;
 pub use trace_api::{

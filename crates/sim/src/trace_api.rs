@@ -97,7 +97,14 @@ pub enum WarpEvent {
 /// when [`wants_warp_events`](TraceSink::wants_warp_events) returns
 /// `true`, so ordinary sinks pay one inlined boolean check.
 pub trait TraceSink {
-    /// Called once per issued instruction, in global time order per core.
+    /// Called once per issued instruction, in the device's global
+    /// `(cycle, core)` order: cycles never decrease from one call to the
+    /// next, and within a cycle cores report in ascending id (one issue
+    /// per core per cycle). Attaching a sink is what *makes* the run
+    /// keep that order — an untraced run lets each core simulate its
+    /// core-local work ahead of the others and orders cores only where
+    /// they touch shared state, which a sink would observe as events out
+    /// of time order. Cycles, counters and memory are the same either way.
     fn on_issue(&mut self, event: &IssueEvent);
 
     /// Whether the sink wants [`WarpEvent`]s. Default `false`; the core
@@ -129,7 +136,10 @@ pub trait TraceSink {
 /// Untraced runs are monomorphised against this type (see
 /// [`Device::run_untraced`](crate::Device::run_untraced)), so the entire
 /// trace hook — virtual dispatch included — compiles away on the
-/// simulator's hot path.
+/// simulator's hot path. *Attaching* one (`Some(&mut NullSink)`) is
+/// still attaching a sink: the run keeps strict global order (see
+/// [`TraceSink::on_issue`]), which is how tests and `cycle_dump traced`
+/// get the strict interleaving without collecting anything.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct NullSink;
 

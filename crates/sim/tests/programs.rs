@@ -317,19 +317,34 @@ fn runaway_loop_hits_cycle_limit() {
 }
 
 #[test]
-fn barrier_deadlock_is_detected() {
-    // Single warp waits on a 2-party barrier that nobody else joins.
+fn barrier_deadlock_names_its_core_and_warps() {
+    // Warp 0 spawns warps 1..4 on core 1; the odd warps wait at a 3-party
+    // barrier, the even ones halt — the third party never comes.
     let mut a = Assembler::new(BASE);
+    let worker = a.label("worker");
+    a.li(reg::T0, 4);
+    a.la_label(reg::T1, worker);
+    a.vx_wspawn(reg::T0, reg::T1);
+    a.bind(worker).unwrap();
+    a.csrr(reg::T2, csrs::WARP_ID);
+    a.andi(reg::T2, reg::T2, 1);
+    let halt = a.label("halt");
+    a.beqz(reg::T2, halt);
     a.li(reg::T0, 0);
-    a.li(reg::T1, 2);
+    a.li(reg::T1, 3);
     a.vx_bar(reg::T0, reg::T1);
+    a.bind(halt).unwrap();
     a.vx_tmc(reg::ZERO);
     let program = a.assemble().unwrap();
-    let mut device = Device::new(DeviceConfig::with_topology(1, 1, 1));
+    let mut device = Device::new(DeviceConfig::with_topology(2, 4, 2));
     device.load_program(&program);
-    device.start_warp(0, BASE);
+    device.start_warp(1, BASE);
     let err = device.run(10_000, None).unwrap_err();
-    assert!(matches!(err, SimError::BarrierDeadlock { .. }), "got {err}");
+    assert!(
+        matches!(err, SimError::BarrierDeadlock { core: 1, waiting: 0b1010, .. }),
+        "got {err:?}"
+    );
+    assert!(err.to_string().contains("core 1 warps [1, 3] wait"), "got {err}");
 }
 
 #[test]

@@ -1,12 +1,14 @@
 //! Randomised tests over the full assemble→execute pipeline: random
 //! straight-line ALU programs must compute exactly what a host-side
-//! interpreter of the same instruction sequence computes. Seeds are
-//! fixed so failures reproduce exactly.
+//! interpreter of the same instruction sequence computes, and random
+//! multi-core memory programs must leave the same machine whether cores
+//! run ahead or keep strict order. Seeds are fixed so failures reproduce
+//! exactly.
 
 use vortex_asm::Assembler;
-use vortex_isa::{reg, AluOp, Reg};
+use vortex_isa::{csrs, reg, AluOp, Reg};
 use vortex_rng::Rng;
-use vortex_sim::{Device, DeviceConfig};
+use vortex_sim::{CacheConfig, Device, DeviceConfig, MemConfig, NullSink, TraceSink};
 
 const BASE: u32 = 0x8000_0000;
 const DATA: u32 = 0xA000_0000;
@@ -175,4 +177,86 @@ fn interleaving_does_not_change_results() {
         };
         assert_eq!(run(&build(false)), run(&build(true)), "seed {seed}");
     }
+}
+
+/// Multi-core differential leg: random loads, stores and ALU work over
+/// broadcast, unit-stride and line-stride address rows, every
+/// `(core, warp)` in a private region, on a hierarchy small enough to
+/// thrash — so stretches of L1 hits (run ahead) and misses (ordered by
+/// the device) alternate at random. An untraced run and a run with a
+/// sink attached (strict order) must agree on everything observable.
+#[test]
+fn multi_core_thrash_runs_agree_traced_and_untraced() {
+    const CORES: usize = 3;
+    const WARPS: usize = 2;
+    const REGION: u32 = 0x1_0000;
+    let mut config = DeviceConfig::with_topology(CORES, WARPS, 4);
+    config.mem = MemConfig {
+        l1: CacheConfig { size_bytes: 1024, ways: 1, line_bytes: 64 },
+        l1_banks: 2,
+        l2: CacheConfig { size_bytes: 8 * 1024, ways: 2, line_bytes: 64 },
+        l2_banks: 2,
+        ..MemConfig::default()
+    };
+
+    let mut rng = Rng::seed_from_u64(0xA4EAD);
+    let (mut hits, mut evictions) = (0, 0);
+    for case in 0..48 {
+        let mut asm = Assembler::new(BASE);
+        // s2 = this warp's region; s3/s4 = its unit- and line-stride rows.
+        asm.csrr(reg::S0, csrs::CORE_ID);
+        asm.slli(reg::S0, reg::S0, 1);
+        asm.csrr(reg::S1, csrs::WARP_ID);
+        asm.add(reg::S0, reg::S0, reg::S1);
+        asm.slli(reg::S0, reg::S0, 16);
+        asm.la(reg::S2, DATA);
+        asm.add(reg::S2, reg::S2, reg::S0);
+        asm.csrr(reg::S1, csrs::THREAD_ID);
+        asm.slli(reg::S3, reg::S1, 2);
+        asm.add(reg::S3, reg::S3, reg::S2);
+        asm.slli(reg::S4, reg::S1, 6);
+        asm.add(reg::S4, reg::S4, reg::S2);
+        for _ in 0..rng.gen_range_usize(20, 120) {
+            let row = *rng.choose(&[reg::S2, reg::S3, reg::S4]);
+            let offset = 4 * rng.gen_range_usize(0, 500) as i32;
+            let r = *rng.choose(&POOL);
+            match rng.gen_range_usize(0, 4) {
+                0 => asm.lw(r, offset, row),
+                1 => asm.sw(r, offset, row),
+                _ => match arb_op(&mut rng) {
+                    Op::Li { dst, imm } => asm.li(POOL[dst], imm),
+                    Op::Alu { op, dst, a, b } => {
+                        asm.emit(vortex_isa::Instr::Op {
+                            op,
+                            rd: POOL[dst],
+                            rs1: POOL[a],
+                            rs2: POOL[b],
+                        });
+                    }
+                },
+            }
+        }
+        asm.vx_tmc(reg::ZERO);
+        let program = asm.assemble().expect("assembles");
+
+        let run = |sink: Option<&mut dyn TraceSink>| {
+            let mut device = Device::new(config);
+            device.load_program(&program);
+            for core in 0..CORES {
+                for warp in 0..WARPS {
+                    device.start_warp_at(core, warp, BASE);
+                }
+            }
+            let finish = device.run(10_000_000, sink).expect("runs");
+            let memory = device.memory().read_u32_vec(DATA, (CORES * WARPS) * REGION as usize / 4);
+            let util = device.dram_utilization();
+            (finish, *device.counters(), device.mem_stats(), util.to_bits(), memory)
+        };
+        let strict = run(Some(&mut NullSink));
+        let ahead = run(None);
+        assert!(ahead == strict, "case {case}: {:?} vs {:?}", &ahead.0, &strict.0);
+        hits += strict.2.l1.hits;
+        evictions += strict.2.l1.evictions;
+    }
+    assert!(hits > 1000 && evictions > 1000, "{hits} L1 hits, {evictions} evictions");
 }

@@ -34,9 +34,16 @@
 //!   `diff <(cycle_dump extended) <(cycle_dump extended replay)` must
 //!   be empty, or replay has drifted from execute semantics. CI pins
 //!   exactly that.
+//! * `traced` reruns whatever grid the other flags select with a no-op
+//!   trace sink attached to every launch. A sink keeps the device in
+//!   strict global `(cycle, core)` order, where an untraced run lets
+//!   cores run ahead to their next L1 miss — so
+//!   `diff <(cycle_dump extended bigtopo) <(cycle_dump extended bigtopo traced)`
+//!   must be empty, or run-ahead has changed what the machine does. CI
+//!   pins exactly that.
 
 use vortex_gpgpu::prelude::*;
-use vortex_gpgpu::sim::{CacheConfig, MemConfig};
+use vortex_gpgpu::sim::{CacheConfig, MemConfig, NullSink};
 use vortex_gpgpu::trace::{decode_trace, encode_trace};
 use vortex_kernels::{
     record_kernel_prepared, replay_kernel_prepared, Kernel, KernelError, Reduce, RunOutcome,
@@ -97,14 +104,16 @@ fn run_row_replayed(
     Ok(replayed)
 }
 
-fn replay_mode() -> bool {
-    static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| std::env::args().skip(1).any(|a| a == "replay"))
+/// Whether `name` is among the command-line flags.
+fn flag(name: &str) -> bool {
+    std::env::args().skip(1).any(|a| a == name)
 }
 
 fn dump(label: &str, kernel: &mut dyn Kernel, config: &DeviceConfig, policy: LwsPolicy) {
-    let out: Result<RunOutcome, KernelError> = if replay_mode() {
+    let out: Result<RunOutcome, KernelError> = if flag("replay") {
         run_row_replayed(kernel, config, policy)
+    } else if flag("traced") {
+        run_kernel_traced(kernel, config, policy, Some(&mut NullSink))
     } else {
         run_kernel(kernel, config, policy)
     };
@@ -128,10 +137,7 @@ fn dump(label: &str, kernel: &mut dyn Kernel, config: &DeviceConfig, policy: Lws
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let extended = args.iter().any(|a| a == "extended");
-    let bigtopo = args.iter().any(|a| a == "bigtopo");
-    let clustered = args.iter().any(|a| a == "clustered");
+    let (extended, bigtopo, clustered) = (flag("extended"), flag("bigtopo"), flag("clustered"));
     // Under `clustered`, regroup every still-flat config into clusters of
     // 4 while keeping the label the caller printed — the dump must not
     // change by a single byte.

@@ -12,9 +12,10 @@
 //! traced/untraced identity and against a hard-coded golden finish
 //! cycle, plus plan-cache reuse producing bit-identical reports.
 
-use vortex_core::Runtime;
+use vortex_core::{abi, LaunchParams, Runtime};
 use vortex_gpgpu::prelude::*;
-use vortex_kernels::{run_kernel_prepared, Kernel, RunOutcome};
+use vortex_gpgpu::sim::{CacheConfig, MemConfig, NullSink};
+use vortex_kernels::{run_kernel_prepared, Kernel, Reduce, RunOutcome};
 
 /// Cycle/counter fingerprint of one run (mirrors `cycle_golden`).
 fn fingerprint(outcome: &RunOutcome) -> (u64, Vec<u64>, Vec<u32>, u64, u64, u64, u64) {
@@ -159,6 +160,112 @@ fn reset_work_scales_with_touched_state_not_topology() {
     assert_eq!(rt.device().last_reset_work(), ResetWork { cores: 1, l1_caches: 1 });
     rt.reset();
     assert_eq!(rt.device().last_reset_work(), ResetWork::default());
+}
+
+/// Runs every phase of `kernel` on a fresh runtime — strict global order
+/// when `strict` (a sink is attached, if only [`NullSink`]), cores
+/// running ahead to their next L1 miss otherwise — and renders everything the run leaves behind:
+/// reports, device counters, memory statistics, DRAM utilisation to the
+/// bit, and every word of the heap and the dispatch blocks. Also returns
+/// the runtime for its scheduler work counts.
+fn machine_after(
+    kernel: &mut dyn Kernel,
+    config: &DeviceConfig,
+    policy: LwsPolicy,
+    strict: bool,
+) -> (String, Runtime) {
+    let program = kernel.build().expect("assembles");
+    let mut rt = Runtime::new(*config);
+    rt.load_program(&program);
+    kernel.setup(&mut rt).expect("setup");
+    let mut reports = Vec::new();
+    for phase in kernel.phases() {
+        let entry = program.symbol(&phase.symbol).expect("phase symbol");
+        let params = LaunchParams::new(phase.gws).policy(policy).entry(entry);
+        let mut sink = strict.then_some(NullSink);
+        reports.push(rt.launch_with(&params, sink.as_mut()).expect("runs"));
+    }
+    kernel.verify(&rt).expect("verifies");
+    let heap_words = (rt.alloc(0).expect("heap top").addr - abi::HEAP_BASE) as usize / 4;
+    let device = rt.device();
+    let state = format!(
+        "{reports:?} {:?} {:?} util={:#x} now={} heap={:?} dispatch={:?}",
+        device.counters(),
+        device.mem_stats(),
+        device.dram_utilization().to_bits(),
+        device.now(),
+        device.memory().read_u32_vec(abi::HEAP_BASE, heap_words),
+        device.memory().read_u32_vec(abi::DISPATCH_BASE, config.cores * 8),
+    );
+    (state, rt)
+}
+
+/// Run-ahead ≡ strict order, kernel by kernel: a sink forces the strict
+/// `(cycle, core)` interleaving, an untraced run orders cores only at
+/// their L1 misses, and the two must leave the same machine — on a mid
+/// and a large flat topology, on a hierarchy that thrashes, and on 256
+/// clustered cores.
+#[test]
+fn every_kernel_leaves_the_same_machine_traced_and_untraced() {
+    let kernels = || -> Vec<Box<dyn Kernel>> {
+        vec![
+            Box::new(VecAdd::new(512)),
+            Box::new(Relu::new(300)),
+            Box::new(Saxpy::new(257)),
+            Box::new(Sgemm::new(12, 8, 8)),
+            Box::new(Gauss::new(16, 5)),
+            Box::new(Knn::new(128)),
+            Box::new(GcnAggr::new(48, 160, 4)),
+            Box::new(GcnLayer::new(32, 128, 4)),
+            Box::new(ResnetLayer::new(6, 4, 4, 2)),
+            Box::new(Reduce::new(300)),
+        ]
+    };
+    let mut thrash: DeviceConfig = "2c4w8t".parse().unwrap();
+    thrash.mem = MemConfig {
+        l1: CacheConfig { size_bytes: 1024, ways: 1, line_bytes: 64 },
+        l1_banks: 2,
+        l2: CacheConfig { size_bytes: 8 * 1024, ways: 2, line_bytes: 64 },
+        l2_banks: 2,
+        ..MemConfig::default()
+    };
+    let configs = [
+        ("4c8w16t", "4c8w16t".parse().unwrap()),
+        ("16c16w16t", "16c16w16t".parse().unwrap()),
+        ("thrash-2c4w8t", thrash),
+        ("256c4w8tx16", "256c4w8tx16".parse().unwrap()),
+    ];
+    for (label, config) in &configs {
+        for mut kernel in kernels() {
+            for policy in [LwsPolicy::Naive1, LwsPolicy::Fixed32, LwsPolicy::Auto] {
+                let (strict, _) = machine_after(kernel.as_mut(), config, policy, true);
+                let (ahead, _) = machine_after(kernel.as_mut(), config, policy, false);
+                assert!(ahead == strict, "{} on {label} under {policy}", kernel.name());
+            }
+        }
+    }
+}
+
+/// The lockstep trip-wire, in deterministic work counts: on a busy
+/// 8-core device an untraced run hands a core control once per *miss* —
+/// tens of instructions per window — while a sink pins every core to
+/// one-cycle windows. A regression to per-cycle windows fails this
+/// exactly, on any machine.
+#[test]
+fn sgemm_on_8_cores_runs_whole_stretches_per_window_unless_traced() {
+    let config: DeviceConfig = "8c8w8t".parse().unwrap();
+    let mut kernel = Sgemm::paper();
+    let (_, rt) = machine_after(&mut kernel, &config, LwsPolicy::Naive1, false);
+    let (instructions, work) = (rt.device().counters().instructions, rt.device().sched_work());
+    assert!(work.deferred > 0 && work.deferred <= work.windows, "{work:?}");
+    assert!(
+        instructions >= 50 * work.windows,
+        "{instructions} instructions in {work:?}: cores are back in lockstep windows"
+    );
+    let (_, rt) = machine_after(&mut kernel, &config, LwsPolicy::Naive1, true);
+    let strict = rt.device().sched_work();
+    assert_eq!(rt.device().counters().instructions, instructions);
+    assert_eq!((strict.windows, strict.deferred), (instructions, 0), "{strict:?}");
 }
 
 // Golden finish cycles, captured from the engine after it was verified
