@@ -35,7 +35,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use vortex_bench::cli::{default_jobs, Flags};
+use vortex_bench::cli::{default_jobs, or_exit, Flags};
 use vortex_bench::driver::{run_queue, QueueSpec};
 use vortex_bench::{atomic_write, paper_sweep, parse_shard, subsample, CampaignCache, Scale};
 use vortex_sim::DeviceConfig;
@@ -139,16 +139,7 @@ fn main() {
     let cache_dir = flags.get_str("cache").map(PathBuf::from).unwrap_or_else(|| dir.join("store"));
 
     let configs: Vec<DeviceConfig> = match flags.get_list("topos") {
-        Some(topos) => topos
-            .iter()
-            .map(|t| match t.parse() {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("invalid --topos entry `{t}`: {e}");
-                    std::process::exit(2);
-                }
-            })
-            .collect(),
+        Some(topos) => topos.iter().map(|t| or_exit(t.parse::<DeviceConfig>())).collect(),
         None => subsample(&paper_sweep(), flags.get_usize("configs", 450)),
     };
     let shard = flags.get_str("shard").map(|s| match parse_shard(s) {

@@ -1,15 +1,13 @@
 //! Ad-hoc diagnostic: per-policy cycle and memory breakdown on one
 //! configuration (not a paper artefact).
 
-use vortex_bench::cli::Flags;
+use vortex_bench::cli::{or_exit, Flags};
 use vortex_core::LwsPolicy;
 use vortex_kernels::{run_kernel, VecAdd};
-use vortex_sim::DeviceConfig;
 
 fn main() {
     let flags = Flags::from_env();
-    let topo = flags.get_str("topo").unwrap_or("24c2w4t").to_owned();
-    let config: DeviceConfig = topo.parse().expect("valid topology");
+    let config = or_exit(flags.get_topology("topo", "24c2w4t"));
     let n = flags.get_usize("n", 4096) as u32;
     for lws in [1u32, 2, 4, 8, 16, 21, 32, 64, 128] {
         let mut k = VecAdd::new(n);

@@ -8,10 +8,10 @@
 //! cargo run --release -p vortex-bench --bin fig1_traces -- --width 120 --n 256
 //! ```
 
-use vortex_bench::cli::Flags;
+use vortex_bench::cli::{or_exit, Flags};
 use vortex_core::LwsPolicy;
 use vortex_kernels::{run_kernel_traced, Kernel, VecAdd};
-use vortex_sim::{DeviceConfig, VecTraceSink};
+use vortex_sim::VecTraceSink;
 use vortex_stats::Table;
 use vortex_trace::{render_timeline, TimelineOptions, Trace, TraceStats};
 
@@ -19,8 +19,7 @@ fn main() {
     let flags = Flags::from_env();
     let n = flags.get_usize("n", 128) as u32;
     let width = flags.get_usize("width", 96);
-    let config: DeviceConfig =
-        flags.get_str("topo").unwrap_or("1c2w4t").parse().expect("valid topology");
+    let config = or_exit(flags.get_topology("topo", "1c2w4t"));
     let hp = config.hardware_parallelism();
 
     println!(

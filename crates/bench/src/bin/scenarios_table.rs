@@ -8,17 +8,15 @@
 //! cargo run --release -p vortex-bench --bin scenarios_table -- --topo 2c4w8t --n 1024
 //! ```
 
-use vortex_bench::cli::Flags;
+use vortex_bench::cli::{or_exit, Flags};
 use vortex_core::{LwsPolicy, MappingScenario, WorkMapping};
 use vortex_kernels::{run_kernel, VecAdd};
-use vortex_sim::DeviceConfig;
 use vortex_stats::Table;
 
 fn main() {
     let flags = Flags::from_env();
     let n = flags.get_usize("n", 128) as u32;
-    let config: DeviceConfig =
-        flags.get_str("topo").unwrap_or("1c2w4t").parse().expect("valid topology");
+    let config = or_exit(flags.get_topology("topo", "1c2w4t"));
     let hp = config.hardware_parallelism();
 
     println!("§2 scenario analysis — vecadd gws={n} on {} (hp = {hp})\n", config.topology_name());

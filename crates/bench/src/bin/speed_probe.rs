@@ -85,7 +85,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use vortex_bench::campaign::run_campaign_cached_traced;
-use vortex_bench::cli::{default_jobs, Flags};
+use vortex_bench::cli::{default_jobs, or_exit, Flags};
 use vortex_bench::probe::{merge_probe_files, render_json, KernelRow, ProbeFile};
 use vortex_bench::{
     atomic_write, kernel_factories, paper_sweep, parse_shard, CampaignCache, Scale, TraceStore,
@@ -152,16 +152,7 @@ fn main() {
     let mut configs = match flags.get_list("topos") {
         // Explicit topology list: probe exactly these configurations
         // (the big-topology scaling comparisons pin the grid this way).
-        Some(topos) => topos
-            .iter()
-            .map(|t| match t.parse::<DeviceConfig>() {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("invalid --topos entry `{t}`: {e}");
-                    std::process::exit(2);
-                }
-            })
-            .collect(),
+        Some(topos) => topos.iter().map(|t| or_exit(t.parse::<DeviceConfig>())).collect(),
         None => vortex_bench::subsample(&paper_sweep(), n),
     };
     let shard = flags.get_str("shard").map(|s| match parse_shard(s) {

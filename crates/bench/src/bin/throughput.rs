@@ -17,12 +17,11 @@
 //! rounds at few busy lanes marks the low-occupancy dispatch regime.
 //! Port-contention columns (memory-port accesses and mean stall slots
 //! per access, from the PR 9 port counters) mark kernels serialising
-//! uncoalesced lines through the L1 ports; on a clustered topology
-//! (`--topo …xN`) a per-kernel footer breaks the same raw sums down by
-//! cluster. The last column, instructions per scheduling window (from
-//! the device's `SchedWork` counts), says how long a core runs between
-//! hand-backs to the device scan: hundreds when cores run ahead to
-//! their next L1 miss, 1 when a many-core device is back in lockstep.
+//! uncoalesced lines through the L1 ports. The last column,
+//! instructions per scheduling window (from the device's `SchedWork`
+//! counts), says how long a core runs between hand-backs to the device
+//! scan: hundreds when cores run ahead to their next L1 miss, 1 when a
+//! many-core device is back in lockstep.
 //!
 //! With `--cache DIR` the run opens the campaign result store first and
 //! prints its inventory — resident rows per kernel, store bytes, and
@@ -38,7 +37,7 @@
 
 use std::time::Instant;
 
-use vortex_bench::cli::Flags;
+use vortex_bench::cli::{or_exit, Flags};
 use vortex_bench::{campaign_key, kernel_factories, CampaignCache, Scale};
 use vortex_core::{DispatchStats, LwsPolicy, Runtime};
 use vortex_kernels::run_kernel_prepared;
@@ -71,8 +70,7 @@ fn print_cache_summary(dir: &str, config: &DeviceConfig, scale: Scale) {
 
 fn main() {
     let flags = Flags::from_env();
-    let config: DeviceConfig =
-        flags.get_str("topo").unwrap_or("8c8w8t").parse().expect("valid topology");
+    let config = or_exit(flags.get_topology("topo", "8c8w8t"));
     let reps = flags.get_usize("reps", 3);
     let wanted = flags.get_list("kernels");
     let scale = if flags.has("paper-scale") { Scale::Paper } else { Scale::Sweep };
@@ -116,7 +114,6 @@ fn main() {
         let mut kernel_dispatch = DispatchStats::default();
         let mut kernel_ports = (0u64, 0u64);
         let mut kernel_windows = 0u64;
-        let mut kernel_cluster_ports = vec![(0u64, 0u64); config.num_clusters()];
         for policy in [LwsPolicy::Naive1, LwsPolicy::Fixed32, LwsPolicy::Auto] {
             let start = Instant::now();
             let mut instructions = 0u64;
@@ -142,10 +139,6 @@ fn main() {
                 ports.0 += outcome.port_accesses;
                 ports.1 += outcome.port_stall_slots;
                 windows += rt.device().sched_work().windows;
-                for (k, (acc, stl)) in rt.device().cluster_port_counters().iter().enumerate() {
-                    kernel_cluster_ports[k].0 += acc;
-                    kernel_cluster_ports[k].1 += stl;
-                }
             }
             let dt = start.elapsed().as_secs_f64();
             println!(
@@ -195,18 +188,5 @@ fn main() {
             if kernel_ports.0 == 0 { 0.0 } else { kernel_ports.1 as f64 / kernel_ports.0 as f64 },
             kernel_instr as f64 / kernel_windows as f64,
         );
-        // On a clustered topology the per-cluster port sums show where
-        // the memory-side contention concentrates (raw sums over all
-        // policies and reps; a flat topology's "clusters" are single
-        // cores, where the per-row totals already tell the story).
-        if config.cores_per_cluster > 1 {
-            let lines: Vec<String> = kernel_cluster_ports
-                .iter()
-                .enumerate()
-                .filter(|(_, (acc, _))| *acc > 0)
-                .map(|(k, (acc, stl))| format!("c{k}:{acc}a/{stl}s"))
-                .collect();
-            println!("{:<13} {:>7} ports by cluster: {}", factory.name, "", lines.join(" "));
-        }
     }
 }

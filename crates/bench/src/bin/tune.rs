@@ -31,7 +31,7 @@
 
 use std::path::Path;
 
-use vortex_bench::cli::{default_jobs, Flags};
+use vortex_bench::cli::{default_jobs, or_exit, Flags};
 use vortex_bench::tune::{DEFAULT_BUDGETS, DEFAULT_TOPOLOGIES};
 use vortex_bench::{
     atomic_write, kernel_factories, merge_tune_files, render_tune_json, run_tune_evaluation,
@@ -81,12 +81,7 @@ fn main() {
         .get_list("topos")
         .unwrap_or_else(|| DEFAULT_TOPOLOGIES.map(String::from).to_vec())
         .iter()
-        .map(|t| {
-            t.parse().unwrap_or_else(|_| {
-                eprintln!("invalid --topos entry `{t}` (expected CcWwTt)");
-                std::process::exit(2);
-            })
-        })
+        .map(|t| or_exit(t.parse::<DeviceConfig>()))
         .collect();
     let scale = if flags.has("paper-scale") { Scale::Paper } else { Scale::Sweep };
     let cache = flags.get_str("cache").map(|dir| match CampaignCache::open(dir) {

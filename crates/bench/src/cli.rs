@@ -1,6 +1,9 @@
 //! Minimal flag parsing shared by the experiment binaries.
 
 use std::collections::HashMap;
+use std::fmt::Display;
+
+use vortex_sim::{DeviceConfig, ParseTopologyError};
 
 /// Parsed `--key value` flags and bare positional arguments.
 ///
@@ -57,10 +60,33 @@ impl Flags {
         self.values.get(key).map(String::as_str)
     }
 
+    /// A `--key CcWwTt[xN]` topology, `default` when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// The parse error of a malformed value, for [`or_exit`] to report.
+    pub fn get_topology(
+        &self,
+        key: &str,
+        default: &str,
+    ) -> Result<DeviceConfig, ParseTopologyError> {
+        self.get_str(key).unwrap_or(default).parse()
+    }
+
     /// A comma-separated `--key a,b,c` list.
     pub fn get_list(&self, key: &str) -> Option<Vec<String>> {
         self.values.get(key).map(|v| v.split(',').map(|s| s.trim().to_owned()).collect())
     }
+}
+
+/// Unwraps a parsed command-line value; a malformed one prints its error
+/// on stderr and exits with status 2. Release builds abort on panic, so
+/// user input must not reach an `expect`.
+pub fn or_exit<T, E: Display>(parsed: Result<T, E>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 /// Default worker-thread count: the machine's parallelism.
@@ -84,6 +110,18 @@ mod tests {
         assert_eq!(f.get_list("kernels").unwrap(), vec!["vecadd", "relu"]);
         assert!(!f.has("missing"));
         assert_eq!(f.get_usize("missing", 7), 7);
+    }
+
+    #[test]
+    fn malformed_topologies_are_errors_not_panics() {
+        for bad in ["", "4c8w", "4c8w8tx0"] {
+            let f = Flags::parse(["--topo", bad].map(String::from));
+            let err = f.get_topology("topo", "1c2w4t").expect_err(bad);
+            assert!(err.to_string().contains(&format!("`{bad}`")), "{err}");
+        }
+        let f = Flags::parse(["--topo", "4c8w8tx2"].map(String::from));
+        assert_eq!(f.get_topology("topo", "1c2w4t").unwrap().topology_name(), "4c8w8tx2");
+        assert_eq!(f.get_topology("other", "1c2w4t").unwrap().topology_name(), "1c2w4t");
     }
 
     #[test]

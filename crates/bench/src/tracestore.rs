@@ -50,9 +50,8 @@ pub fn trace_key(
     h.write_str(scale.tag());
     h.write_u64(program_digest);
     // Topology only: timing and memory latencies/geometry are re-timed at
-    // replay, so they must NOT move the key. `cores_per_cluster` is pure
-    // scheduler bookkeeping (the clustered-vs-flat CI gate pins identical
-    // cycles) and is likewise excluded.
+    // replay, so they must NOT move the key. `cores_per_cluster` is a
+    // label no scheduling or timing code reads, and is likewise excluded.
     h.write_u64(config.cores as u64);
     h.write_u64(config.warps as u64);
     h.write_u64(config.threads as u64);

@@ -167,12 +167,11 @@ pub fn digest_device_config(config: &DeviceConfig) -> u64 {
     // every stored row). Folding the constant keeps every key written
     // while the field existed valid.
     h.write_bool(false);
-    // Clustering (PR 9). The knob is timing-transparent by construction
-    // (clustered == flat is gated bit-identical in CI), so the flat
-    // default is *consciously excluded* to keep every key written before
-    // the field existed valid — all historical rows were flat. Clustered
-    // layouts fold the knob in: their `topology_name()` differs, and a
-    // key shared with the flat row would be rejected by the store's topo
+    // The cluster label (PR 9). No scheduling or timing code reads it, so
+    // the default of 1 is *consciously excluded* to keep every key
+    // written before the field existed valid — all historical rows had
+    // it. Other values fold in: their `topology_name()` differs, and a
+    // key shared with the plain row would be rejected by the store's topo
     // cross-check as a collision. All non-cluster fields are fixed-width,
     // so the conditional tail cannot alias two distinct configurations.
     if *cores_per_cluster != 1 {

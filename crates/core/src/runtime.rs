@@ -1,7 +1,7 @@
 //! The host-side runtime: buffers, argument blocks, kernel launches.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -175,8 +175,11 @@ pub struct Runtime {
     entry: Option<u32>,
     dispatch_overhead: Cycle,
     /// Precompiled launch plans keyed by `(gws, resolved lws)` — policies
-    /// resolving to the same `lws` share one plan.
-    plans: HashMap<(u32, u32), LaunchPlan>,
+    /// resolving to the same `lws` share one plan. Ordered, not hashed:
+    /// a `HashMap` drops its plans in per-process random order, which
+    /// made the allocator keep or trim ~10 MiB of a campaign's freed
+    /// device memory by chance (peak RSS bimodal run to run).
+    plans: BTreeMap<(u32, u32), LaunchPlan>,
     plan_hits: u64,
     plan_misses: u64,
     /// Canonical digest of the device configuration (computed once at
@@ -195,7 +198,7 @@ impl Runtime {
             heap_next: abi::HEAP_BASE,
             entry: None,
             dispatch_overhead: 256,
-            plans: HashMap::new(),
+            plans: BTreeMap::new(),
             plan_hits: 0,
             plan_misses: 0,
             config_digest: digest::digest_device_config(&config),

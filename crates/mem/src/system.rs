@@ -145,15 +145,15 @@ pub struct MemSystem {
     touched: Vec<usize>,
     /// Per-core membership flag for `touched` (O(1) hot-path check).
     l1_touched: Vec<bool>,
-    /// Per-core count of batched SIMT accesses that carried ≥ 1 line
-    /// (one per memory instruction reaching the port). Raw sums — exact
-    /// to merge across shards and workers.
-    port_accesses: Vec<u64>,
-    /// Per-core total of *extra* L1 port slots beyond the first each
-    /// access occupied — the cycles the core's memory port stayed blocked
-    /// by serialisation of uncoalesced lines. Zero under perfect
-    /// coalescing; raw sums.
-    port_stalls: Vec<u64>,
+    /// Batched SIMT accesses that carried ≥ 1 line (one per memory
+    /// instruction reaching a core's port). A raw sum — exact to merge
+    /// across shards and workers.
+    port_accesses: u64,
+    /// Total of *extra* L1 port slots beyond the first each access
+    /// occupied — the cycles a core's memory port stayed blocked by
+    /// serialisation of uncoalesced lines. Zero under perfect
+    /// coalescing; a raw sum.
+    port_stalls: u64,
 }
 
 /// The downstream (L2 + DRAM) leg of the walk, borrowed disjointly from
@@ -243,8 +243,8 @@ impl MemSystem {
             stores: 0,
             touched: Vec::new(),
             l1_touched: vec![false; num_cores],
-            port_accesses: vec![0; num_cores],
-            port_stalls: vec![0; num_cores],
+            port_accesses: 0,
+            port_stalls: 0,
         }
     }
 
@@ -550,8 +550,8 @@ impl MemSystem {
         }
         // Port slots consumed: ceil(lines / banks), at least one.
         let port_slots = (at - now + Cycle::from(in_group > 0)).max(1);
-        self.port_accesses[core] += 1;
-        self.port_stalls[core] += port_slots - 1;
+        self.port_accesses += 1;
+        self.port_stalls += port_slots - 1;
         BatchOutcome { completion, port_slots }
     }
 
@@ -577,31 +577,12 @@ impl MemSystem {
         self.l1s[core].stats()
     }
 
-    /// Core ids that served at least one line since the last reset, in
-    /// first-touch order (per-cluster aggregations walk this instead of
-    /// the topology).
-    pub fn touched_cores(&self) -> &[usize] {
-        &self.touched
-    }
-
-    /// One core's SIMT memory-port counters `(accesses, stall_slots)`:
-    /// batched accesses that reached the port, and the extra L1 port
-    /// slots beyond the first each occupied (see the field docs).
-    pub fn port_counters(&self, core: usize) -> (u64, u64) {
-        (self.port_accesses[core], self.port_stalls[core])
-    }
-
-    /// Port counters summed over every core that served traffic
-    /// (O(touched); untouched cores are zero by construction). Raw sums —
+    /// Device-wide SIMT memory-port counters `(accesses, stall_slots)`
+    /// since the last reset: batched accesses that reached a port, and
+    /// the extra L1 port slots beyond the first each occupied. Raw sums —
     /// exact to merge across shards and workers.
     pub fn port_totals(&self) -> (u64, u64) {
-        let mut accesses = 0;
-        let mut stalls = 0;
-        for &core in &self.touched {
-            accesses += self.port_accesses[core];
-            stalls += self.port_stalls[core];
-        }
-        (accesses, stalls)
+        (self.port_accesses, self.port_stalls)
     }
 
     /// DRAM service-slot utilisation up to `horizon` (see
@@ -624,8 +605,6 @@ impl MemSystem {
             let did = self.l1s[core].reset();
             debug_assert!(did, "a touched L1 always has state to sweep");
             self.l1_touched[core] = false;
-            self.port_accesses[core] = 0;
-            self.port_stalls[core] = 0;
         }
         self.touched.clear();
         self.l2.reset();
@@ -633,6 +612,8 @@ impl MemSystem {
         self.dram.reset();
         self.loads = 0;
         self.stores = 0;
+        self.port_accesses = 0;
+        self.port_stalls = 0;
         swept
     }
 }
@@ -985,7 +966,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // O(activity) bookkeeping: touched-core lists and port counters.
+    // O(activity) bookkeeping: the touched-core list; port counters.
     // ------------------------------------------------------------------
 
     #[test]
@@ -995,9 +976,9 @@ mod tests {
         s.access_batch(200, &[0x8000, 0x8040], 0, false);
         s.access_batch(200, &[0x8000], 10, false); // dedup: still one entry
         s.access_batch(7, &[], 0, false); // empty batch must not mark
-        assert_eq!(s.touched_cores(), &[3, 200]);
+        assert_eq!(s.touched, &[3, 200]);
         assert_eq!(s.reset(), 2);
-        assert!(s.touched_cores().is_empty());
+        assert!(s.touched.is_empty());
         assert_eq!(s.reset(), 0);
         // Stats aggregate over the touched list only; a swept system is
         // indistinguishable from a fresh one.
@@ -1005,26 +986,24 @@ mod tests {
     }
 
     #[test]
-    fn port_counters_count_accesses_and_stall_slots() {
+    fn port_totals_count_accesses_and_stall_slots() {
         let mut s = sys(4);
         let banks = s.config().l1_banks;
         // One fully-coalesced batch: 1 access, bank group fits → 0 stalls.
         let coalesced: Vec<u32> = (0..banks).map(|i| 0x10_0000 + i * 64).collect();
         s.access_batch(1, &coalesced, 0, false);
-        assert_eq!(s.port_counters(1), (1, 0));
+        assert_eq!(s.port_totals(), (1, 0));
         // A batch of 2.5 bank groups serialises into 3 port slots → 2 stalls.
         let wide: Vec<u32> = (0..banks * 5 / 2).map(|i| 0x20_0000 + i * 64).collect();
         s.access_batch(1, &wide, 100, false);
-        assert_eq!(s.port_counters(1), (2, 2));
-        // Empty batches consume no counters; other cores stay zero.
+        assert_eq!(s.port_totals(), (2, 2));
+        // Empty batches consume no counters.
         s.access_batch(1, &[], 200, false);
-        assert_eq!(s.port_counters(1), (2, 2));
-        assert_eq!(s.port_counters(0), (0, 0));
-        // Totals sum over the touched list; reset clears per-core state.
+        assert_eq!(s.port_totals(), (2, 2));
+        // Totals sum over cores; reset clears them.
         s.access_batch(2, &wide, 0, false);
         assert_eq!(s.port_totals(), (3, 4));
         s.reset();
         assert_eq!(s.port_totals(), (0, 0));
-        assert_eq!(s.port_counters(1), (0, 0));
     }
 }

@@ -78,14 +78,12 @@ pub struct DeviceConfig {
     pub mem: MemConfig,
     /// Maximum nesting depth of `vx_split` per warp.
     pub ipdom_depth: usize,
-    /// Cores grouped per cluster (contiguous core-id ranges): cluster `k`
-    /// owns cores `k*cpc .. (k+1)*cpc`. Clustering is a *host-side*
-    /// scheduling and accounting structure — per-cluster active-core
-    /// lists and per-cluster memory-port counters — and is
-    /// timing-transparent by construction: simulated cycles and counters
-    /// are bit-identical for every value of this knob (gated by the
-    /// clustered-vs-flat cycle_dump diff in CI). `1` reproduces the flat
-    /// per-core layout exactly.
+    /// Cores grouped per cluster — a *label*: no code path reads it for
+    /// scheduling or timing, so simulated cycles and counters are the
+    /// same for every value. It names the configuration (the `x<cpc>`
+    /// suffix of [`topology_name`](DeviceConfig::topology_name)) and is
+    /// folded into campaign keys, so rows stored under an `x<cpc>` name
+    /// stay addressable. `1` is the plain name.
     pub cores_per_cluster: usize,
 }
 
@@ -120,17 +118,6 @@ impl DeviceConfig {
         self
     }
 
-    /// Number of clusters (`ceil(cores / cores_per_cluster)`); the last
-    /// cluster may be partially filled.
-    pub fn num_clusters(&self) -> usize {
-        self.cores.div_ceil(self.cores_per_cluster)
-    }
-
-    /// Cluster owning `core`.
-    pub fn cluster_of(&self, core: usize) -> usize {
-        core / self.cores_per_cluster
-    }
-
     /// Checks invariants (non-zero dimensions, mask-width limits).
     ///
     /// # Panics
@@ -150,10 +137,10 @@ impl DeviceConfig {
         (self.cores * self.warps * self.threads) as u64
     }
 
-    /// The paper's compact topology notation, e.g. `"64c32w32t"`. When
-    /// clustering is enabled an `x<cores_per_cluster>` suffix is appended
-    /// (e.g. `"64c32w32tx4"`); flat devices keep the historical name so
-    /// store keys and manifests written before clustering existed remain
+    /// The paper's compact topology notation, e.g. `"64c32w32t"`. A
+    /// `cores_per_cluster` other than 1 appends an `x<cores_per_cluster>`
+    /// suffix (e.g. `"64c32w32tx4"`); 1 keeps the historical name so
+    /// store keys and manifests written before the field existed remain
     /// valid.
     pub fn topology_name(&self) -> String {
         if self.cores_per_cluster == 1 {
@@ -182,7 +169,7 @@ impl FromStr for DeviceConfig {
 
     /// Parses the `"<cores>c<warps>w<threads>t"` notation used throughout
     /// the paper, with default timing and memory parameters. An optional
-    /// `x<cores_per_cluster>` suffix selects a clustered layout, e.g.
+    /// `x<cores_per_cluster>` suffix sets the cluster label, e.g.
     /// `"256c4w8tx16"`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let err = || ParseTopologyError { input: s.to_owned() };
@@ -251,21 +238,7 @@ mod tests {
     fn clustering_defaults_to_flat() {
         let cfg = DeviceConfig::with_topology(4, 8, 16);
         assert_eq!(cfg.cores_per_cluster, 1);
-        assert_eq!(cfg.num_clusters(), 4);
         assert_eq!(cfg.topology_name(), "4c8w16t");
-    }
-
-    #[test]
-    fn cluster_partitioning_covers_partial_tail() {
-        let cfg = DeviceConfig::with_topology(10, 2, 2).with_clustering(4);
-        assert_eq!(cfg.num_clusters(), 3);
-        assert_eq!(cfg.cluster_of(0), 0);
-        assert_eq!(cfg.cluster_of(3), 0);
-        assert_eq!(cfg.cluster_of(4), 1);
-        assert_eq!(cfg.cluster_of(9), 2);
-        // Oversized clustering degenerates to a single cluster.
-        let one = DeviceConfig::with_topology(4, 2, 2).with_clustering(64);
-        assert_eq!(one.num_clusters(), 1);
     }
 
     #[test]

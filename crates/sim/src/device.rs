@@ -4,13 +4,14 @@ use vortex_asm::Program;
 use vortex_isa::{csrs, Instr};
 use vortex_mem::{Cycle, MainMemory, MemStats, MemSystem};
 
-use crate::cluster::Clusters;
 use crate::config::DeviceConfig;
 use crate::core::{Core, CoreCtx, CoreOutcome};
 use crate::counters::DeviceCounters;
 use crate::decoded::DecodedInstr;
 use crate::error::SimError;
+use crate::live::LiveCores;
 use crate::trace_api::{LaunchRecord, NullSink, ReplayCtx, ReplayCursor, TraceSink};
+use crate::warp::NEVER;
 
 /// How much state the last [`Device::reset`] actually swept — the
 /// observable half of the O(touched-state) reset contract: a reset after
@@ -83,16 +84,13 @@ pub struct Device {
     cycle: Cycle,
     horizon: Cycle,
     counters: DeviceCounters,
-    /// The cluster-grouped scheduler state: compact ascending
-    /// scheduled-core / next-event arrays plus a cached per-cluster
-    /// minimum, so a scheduling round scans one entry per live cluster
-    /// and descends into only the segments holding the earliest event. The
-    /// structure is *persistent*: [`start_warp`](Device::start_warp) and
-    /// friends insert cores as the host activates them and the run loop
-    /// removes cores as they drain, so entering a run is O(live cores) —
-    /// an idle core costs zero bytes touched, whatever the topology. See
-    /// [`cluster`](crate::cluster) for the layout and invariants.
-    clusters: Clusters,
+    /// The scheduler state: the live cores, ascending, and each one's
+    /// next event. *Persistent* across runs:
+    /// [`start_warp`](Device::start_warp) and friends insert cores as the
+    /// host activates them and the run loop removes cores as they drain,
+    /// so entering a run is O(live cores) — an idle core costs zero bytes
+    /// touched, whatever the topology.
+    live: LiveCores,
     /// Cores started (touched) since the last [`reset`](Device::reset),
     /// in first-touch order — the O(touched) reset walks exactly this
     /// list instead of scanning the topology for `touched` flags.
@@ -121,20 +119,20 @@ impl Device {
             cycle: 0,
             horizon: 0,
             counters: DeviceCounters::default(),
-            clusters: Clusters::new(config.cores, config.cores_per_cluster),
+            live: LiveCores::new(config.cores),
             started: Vec::new(),
             config,
         }
     }
 
     /// Registers a host-side activation of `core`: first-touch cores join
-    /// the O(touched) reset list, and the core joins its cluster's
-    /// active-core list (idempotent for already-scheduled cores).
+    /// the O(touched) reset list, and the core joins the scheduler's live
+    /// list (idempotent for already-scheduled cores).
     fn note_activation(&mut self, core: usize) {
         if !self.cores[core].is_touched() {
             self.started.push(core);
         }
-        self.clusters.schedule(core);
+        self.live.schedule(core);
     }
 
     /// The device configuration.
@@ -229,20 +227,7 @@ impl Device {
     /// core outside the scheduler's active set cannot have an active warp
     /// (activation always passes through [`start_warp`](Device::start_warp)).
     pub fn all_idle(&self) -> bool {
-        self.clusters.order().iter().all(|&c| !self.cores[c].any_active())
-    }
-
-    /// Number of clusters currently containing at least one live core
-    /// (the activity measure the run loop's cost is proportional to).
-    pub fn live_clusters(&self) -> usize {
-        self.clusters.live_clusters()
-    }
-
-    /// Core ids in `cluster` currently holding live warps, ascending.
-    /// Because the scheduled set is kept sorted, each cluster's members
-    /// form a contiguous segment of it — this is a sub-slice, not a copy.
-    pub fn cluster_active_cores(&self, cluster: usize) -> &[usize] {
-        self.clusters.active_in(cluster)
+        self.live.order().iter().all(|&c| !self.cores[c].any_active())
     }
 
     /// Runs until all warps halt, the cycle budget is exhausted, or a
@@ -382,32 +367,31 @@ impl Device {
             cycle,
             horizon,
             counters,
-            clusters,
+            live,
             started: _,
         } = self;
 
         // One pending event per scheduled core, in a compact array
-        // scanned with a vectorisable min pass instead of a binary heap.
-        // The heap survived two calendar-queue prototypes (ROADMAP item
-        // c, see README "PR2 results"), but it charged every *core-cycle*
-        // of a lockstep many-core run one pop+push sift pair; a
-        // contiguous `u64` min scan per scheduling round costs less than
-        // one sift, and the round still hands each due core a
+        // scanned with a min pass instead of a binary heap. The heap
+        // survived two calendar-queue prototypes (ROADMAP item c, see
+        // README "PR2 results"), but it charged every *core-cycle* of a
+        // lockstep many-core run one pop+push sift pair; a contiguous
+        // `u64` min scan per scheduling round costs less than one sift,
+        // and the round still hands each due core a
         // conservative-lookahead window (see [`Core::run_until`]). Unlike
         // the PR 2 wake-slot table, the scan is per *round* (window), not
         // per simulated cycle, so desynchronised runs do not degrade.
         //
         // The scheduled set is maintained *incrementally* by the
         // `start_warp*` entry points and the drain removals below (see
-        // [`Clusters`]): entering a run marks the already-known live
+        // [`LiveCores`]): entering a run marks the already-known live
         // cores due now in O(live), with no per-entry topology scan — a
         // 2-core launch on a 256-core device pays for 2 entries, and an
-        // idle core costs zero bytes touched. The arrays stay ascending
-        // by core id, so per-cluster active lists are contiguous segments
-        // of the same scan. Cores cannot *become* active mid-run (wspawn
-        // is core-local), and a core that drains to idle is removed in
-        // place, so rounds of a shrinking launch keep getting cheaper.
-        clusters.begin_run(*cycle);
+        // idle core costs zero bytes touched. Cores cannot *become*
+        // active mid-run (wspawn is core-local), and a core that drains
+        // to idle is removed in place, so rounds of a shrinking launch
+        // keep getting cheaper.
+        live.begin_run(*cycle);
 
         // Cores may run ahead of the horizon (see the loop below) unless
         // something can observe how their core-local work interleaves: a
@@ -455,142 +439,50 @@ impl Device {
         // the full window to the runner-up event; same-cycle peers each
         // get one cycle of it. With a sink attached the window bounds
         // everything and the run is the strict interleaving itself.
-        //
-        // The scan is *hierarchical*: a first pass walks one cached
-        // minimum per live cluster segment, and only the segments that
-        // can hold the earliest event are descended into. Desynchronised
-        // rounds of a 256-core device clustered 16-per-cluster touch ~16
-        // segment minima plus one 16-entry segment instead of 256 event
-        // entries; on a flat device (one core per segment) the first
-        // pass *is* the old flat scan. Segments sit back to back in
-        // ascending core-id order, so the hierarchical walk visits cores
-        // in exactly the flat scan's order — ties still resolve
-        // ascending by core id for every `cores_per_cluster`, which the
-        // clustered-vs-flat cycle_dump gate in CI pins.
         loop {
             ctx.work.rounds += 1;
-            // Pass 1 over the cached segment minima: earliest event, its
-            // segment, how many segments share it, and the best other
-            // segment's minimum (the cross-segment runner-up).
-            let mut t = crate::warp::NEVER;
-            let mut first_seg = 0usize;
-            let mut segs_due = 0usize;
-            let mut seg_second = crate::warp::NEVER;
-            for (s, &m) in clusters.seg_min().iter().enumerate() {
-                if m < t {
-                    seg_second = t;
-                    t = m;
-                    first_seg = s;
-                    segs_due = 1;
-                } else if m == t && m != crate::warp::NEVER {
-                    segs_due += 1;
-                } else if m < seg_second {
-                    seg_second = m;
+            // One pass over the live cores' events: the earliest cycle,
+            // the first position due then, how many share it, and the
+            // best other time (the runner-up).
+            let mut t = NEVER;
+            let mut first = 0usize;
+            let mut due = 0usize;
+            let mut runner = NEVER;
+            for (pos, &at) in live.due().iter().enumerate() {
+                if at < t {
+                    runner = t;
+                    t = at;
+                    first = pos;
+                    due = 1;
+                } else if at == t {
+                    due += 1;
+                } else if at < runner {
+                    runner = at;
                 }
             }
-            if t == crate::warp::NEVER {
+            if t == NEVER {
                 break;
             }
             if t > limit {
                 return Err(SimError::CycleLimit { limit });
             }
-            if segs_due == 1 {
-                // Pass 2 over the single candidate segment: position of
-                // its first due core, how many are due, and the best
-                // other in-segment time (the in-segment runner-up).
-                let (lo, hi) = clusters.seg_bounds(first_seg);
-                let mut first = lo;
-                let mut due = 0usize;
-                let mut runner = crate::warp::NEVER;
-                for pos in lo..hi {
-                    let at = clusters.due()[pos];
-                    if at == t {
-                        if due == 0 {
-                            first = pos;
-                        }
-                        due += 1;
-                    } else if at < runner {
-                        runner = at;
-                    }
+            let window = if due == 1 { runner.min(limit.saturating_add(1)) } else { t + 1 };
+            // The due cores in ascending position, i.e. ascending core id.
+            // A drained core is removed in place, which shifts the next
+            // one under `pos`: the index advances only past a survivor.
+            let mut pos = first;
+            while due > 0 {
+                if live.due()[pos] != t {
+                    pos += 1;
+                    continue;
                 }
-                if due == 1 {
-                    // Solo core device-wide: its window runs to the
-                    // global runner-up = min(in-segment runner-up, best
-                    // other segment). The segment minimum updates in
-                    // O(1): every other in-segment entry is ≥ `runner`.
-                    let cid = clusters.order()[first];
-                    let window = runner.min(seg_second).min(limit.saturating_add(1));
-                    match cores[cid].run_until(t, window, cycle, &mut ctx)? {
-                        CoreOutcome::Next(next) => {
-                            clusters.set_due_with_min(first_seg, first, next, runner)
-                        }
-                        CoreOutcome::Idle => clusters.remove_at(first),
+                due -= 1;
+                match cores[live.order()[pos]].run_until(t, window, cycle, &mut ctx)? {
+                    CoreOutcome::Next(next) => {
+                        live.set_due(pos, next);
+                        pos += 1;
                     }
-                } else {
-                    // Lockstep within one segment: each due core gets one
-                    // cycle, ascending by position; the segment minimum
-                    // is recomputed once after the pass.
-                    let owner = clusters.seg_cluster_id(first_seg);
-                    let mut pos = first;
-                    while first_seg < clusters.live_clusters()
-                        && clusters.seg_cluster_id(first_seg) == owner
-                        && pos < clusters.seg_bounds(first_seg).1
-                    {
-                        if clusters.due()[pos] != t {
-                            pos += 1;
-                            continue;
-                        }
-                        let cid = clusters.order()[pos];
-                        match cores[cid].run_until(t, t + 1, cycle, &mut ctx)? {
-                            CoreOutcome::Next(next) => {
-                                clusters.set_due(pos, next);
-                                pos += 1;
-                            }
-                            CoreOutcome::Idle => clusters.remove_at(pos),
-                        }
-                    }
-                    if first_seg < clusters.live_clusters()
-                        && clusters.seg_cluster_id(first_seg) == owner
-                    {
-                        clusters.refresh_seg(first_seg);
-                    }
-                }
-            } else {
-                // Several segments share the minimum: walk them in
-                // ascending cluster order, and within each the due cores
-                // in ascending position — the flat scan's exact order.
-                // Draining a segment empty removes it and shifts later
-                // segments down, so the index only advances when the
-                // segment under it survives.
-                let mut s = 0usize;
-                while s < clusters.live_clusters() {
-                    if clusters.seg_min()[s] != t {
-                        s += 1;
-                        continue;
-                    }
-                    let owner = clusters.seg_cluster_id(s);
-                    let mut pos = clusters.seg_bounds(s).0;
-                    while s < clusters.live_clusters()
-                        && clusters.seg_cluster_id(s) == owner
-                        && pos < clusters.seg_bounds(s).1
-                    {
-                        if clusters.due()[pos] != t {
-                            pos += 1;
-                            continue;
-                        }
-                        let cid = clusters.order()[pos];
-                        match cores[cid].run_until(t, t + 1, cycle, &mut ctx)? {
-                            CoreOutcome::Next(next) => {
-                                clusters.set_due(pos, next);
-                                pos += 1;
-                            }
-                            CoreOutcome::Idle => clusters.remove_at(pos),
-                        }
-                    }
-                    if s < clusters.live_clusters() && clusters.seg_cluster_id(s) == owner {
-                        clusters.refresh_seg(s);
-                        s += 1;
-                    }
+                    CoreOutcome::Idle => live.remove_at(pos),
                 }
             }
         }
@@ -619,20 +511,6 @@ impl Device {
         self.memsys.port_totals()
     }
 
-    /// Per-cluster memory-port counters `(accesses, stall_slots)`,
-    /// indexed by cluster id. Aggregated by walking only the cores that
-    /// served traffic, so the cost is O(touched), not O(topology).
-    pub fn cluster_port_counters(&self) -> Vec<(u64, u64)> {
-        let mut out = vec![(0u64, 0u64); self.config.num_clusters()];
-        for &core in self.memsys.touched_cores() {
-            let (accesses, stalls) = self.memsys.port_counters(core);
-            let k = self.config.cluster_of(core);
-            out[k].0 += accesses;
-            out[k].1 += stalls;
-        }
-        out
-    }
-
     /// DRAM bandwidth utilisation over the elapsed simulation time.
     pub fn dram_utilization(&self) -> f64 {
         self.memsys.dram_utilization(self.cycle)
@@ -653,7 +531,7 @@ impl Device {
             }
         }
         self.started.clear();
-        self.clusters.clear();
+        self.live.clear();
         self.mem.clear();
         work.l1_caches = self.memsys.reset();
         self.last_reset_work = work;

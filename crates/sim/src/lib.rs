@@ -48,7 +48,6 @@
 
 #![forbid(unsafe_code)]
 
-mod cluster;
 mod config;
 mod core;
 mod counters;
@@ -57,11 +56,12 @@ mod device;
 mod error;
 mod exec;
 mod ipdom;
+mod live;
 mod regfile;
 mod trace_api;
 mod warp;
 
-pub use config::{DeviceConfig, TimingConfig};
+pub use config::{DeviceConfig, ParseTopologyError, TimingConfig};
 pub use counters::{ClassCounts, DeviceCounters};
 pub use device::{Device, ResetWork, SchedWork};
 pub use error::SimError;

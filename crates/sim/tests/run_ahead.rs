@@ -53,18 +53,24 @@ struct Machine {
     out: Vec<u32>,
 }
 
-/// Starts warp 0 of every core and runs to `limit`, strict when `sink`
-/// is given.
+/// Every core of a `cores`-core device, entering at [`BASE`].
+fn all_at_base(cores: usize) -> Vec<(usize, u32)> {
+    (0..cores).map(|core| (core, BASE)).collect()
+}
+
+/// Starts warp 0 of each `(core, pc)` in `starts` and runs to `limit`,
+/// strict when `sink` is given.
 fn run(
     config: DeviceConfig,
     program: &Program,
+    starts: &[(usize, u32)],
     limit: u64,
     sink: Option<&mut dyn TraceSink>,
 ) -> (Machine, Device) {
     let mut device = Device::new(config);
     device.load_program(program);
-    for core in 0..config.cores {
-        device.start_warp(core, BASE);
+    for &(core, pc) in starts {
+        device.start_warp(core, pc);
     }
     let result = device.run(limit, sink);
     let machine = Machine {
@@ -80,14 +86,27 @@ fn run(
     (machine, device)
 }
 
-/// Runs `program` strict (any attached sink will do, [`NullSink`]
-/// included) and run-ahead, asserts they left the same machine, and
-/// returns it with the run-ahead device.
-fn both_orders(config: DeviceConfig, program: &Program, limit: u64) -> (Machine, Device) {
-    let (strict, _) = run(config, program, limit, Some(&mut NullSink));
-    let (ahead, device) = run(config, program, limit, None);
+/// Runs `program` from `starts` strict (any attached sink will do,
+/// [`NullSink`] included) and run-ahead, asserts they left the same
+/// machine, and returns it with the strict and the run-ahead device.
+fn both_orders_from(
+    config: DeviceConfig,
+    program: &Program,
+    starts: &[(usize, u32)],
+    limit: u64,
+) -> (Machine, [Device; 2]) {
+    let (strict, strict_device) = run(config, program, starts, limit, Some(&mut NullSink));
+    let (ahead, device) = run(config, program, starts, limit, None);
     assert_eq!(ahead, strict, "run-ahead left a different machine than strict order");
-    (ahead, device)
+    (ahead, [strict_device, device])
+}
+
+/// [`both_orders_from`] with every core entering at [`BASE`]; returns the
+/// machine with the run-ahead device.
+fn both_orders(config: DeviceConfig, program: &Program, limit: u64) -> (Machine, Device) {
+    let (machine, [_, ahead]) =
+        both_orders_from(config, program, &all_at_base(config.cores), limit);
+    (machine, ahead)
 }
 
 #[test]
@@ -107,6 +126,49 @@ fn equal_cycle_first_misses_book_l2_in_ascending_core_id() {
     assert!(filled.windows(2).all(|w| w[0] < w[1]), "fills out of core order: {filled:?}");
     // Each core parked at its load and at its result store.
     assert_eq!(device.sched_work().deferred, 8);
+}
+
+/// Three cores are due at cycle 0 and the middle one halts on its first
+/// instruction: the scan removes it in place, which moves core 2 under
+/// the position being visited. Core 2 must still get its cycle-0 turn —
+/// in that round, exactly once, after core 0's — so the two
+/// first-instruction misses book the L2 in core order, and against a
+/// launch it never joined the drained core costs one window and no round.
+#[test]
+fn a_core_draining_mid_round_does_not_cost_the_next_one_its_turn() {
+    let mut a = Assembler::new(BASE);
+    let common = a.label("common");
+    a.lw(reg::T2, 0, reg::ZERO); // core 0's first instruction: a miss
+    a.j(common);
+    a.here("core2");
+    a.lw(reg::T2, 1024, reg::ZERO); // core 2's: a miss on another line
+    a.bind(common).unwrap();
+    prologue(&mut a);
+    a.add(reg::T3, reg::T2, reg::T2); // waits for the fill
+    a.csrr(reg::T4, csrs::MCYCLE);
+    a.sw(reg::T4, 0, reg::S1);
+    a.here("halt");
+    a.vx_tmc(reg::ZERO); // core 1's first instruction
+    let program = a.assemble().unwrap();
+    let at = |name: &str| program.symbol(name).unwrap();
+    let with_middle = [(0, BASE), (1, at("halt")), (2, at("core2"))];
+    let without = [with_middle[0], with_middle[2]];
+
+    let (machine, drained) = both_orders_from(one_bank(3), &program, &with_middle, 100_000);
+    let (reference, absent) = both_orders_from(one_bank(3), &program, &without, 100_000);
+    assert!(machine.result.is_ok());
+    assert!(machine.out[0] < machine.out[4], "core 2 booked first: {:?}", machine.out);
+    assert_eq!(machine.out, reference.out);
+    for (order, (drained, absent)) in
+        ["strict", "run-ahead"].iter().zip(drained.iter().zip(&absent))
+    {
+        let (drained, absent) = (drained.sched_work(), absent.sched_work());
+        assert_eq!(
+            (drained.rounds, drained.windows, drained.deferred),
+            (absent.rounds, absent.windows + 1, absent.deferred),
+            "{order}"
+        );
+    }
 }
 
 /// What parks a core is an L1 *miss*, whatever the instruction: a load
@@ -168,7 +230,7 @@ fn a_lower_core_arriving_later_in_host_order_still_books_first() {
     // Issue cycles of the two marked loads under strict order.
     let marked = |program: &Program| {
         let mut sink = VecTraceSink::new();
-        let (machine, _) = run(one_bank(2), program, 100_000, Some(&mut sink));
+        let (machine, _) = run(one_bank(2), program, &all_at_base(2), 100_000, Some(&mut sink));
         assert!(machine.result.is_ok());
         let at = |name: &str| {
             let pc = program.symbol(name).unwrap();

@@ -9,7 +9,8 @@
 //! The default grid (11 kernels × 6 topologies × 3 policies = 198 rows;
 //! the reduction rides at the end so the first 180 rows stay diffable
 //! against pre-PR10 dumps) is frozen so dumps diff cleanly across PRs.
-//! Flags (any order, any combination):
+//! Modes (any order, any combination; any other argument is an error, so a
+//! mistyped mode cannot print the plain grid and pass a diff vacuously):
 //!
 //! * `extended` appends a **cache-thrashing** section: the same policies
 //!   over a deliberately under-sized memory hierarchy (1 KiB
@@ -17,16 +18,11 @@
 //!   miss/writeback/bank-contention legs of the batched memory walk
 //!   hot — paths the default geometry rarely exercises. CI's
 //!   determinism gate runs the extended grid.
-//! * `bigtopo` appends a **big-topology** section (256-core flat and
-//!   clustered rows, plus a 16-core 4×4 clustered row) exercising the
-//!   O(activity) scheduler at scale. Behind its own flag so the
-//!   base+extended prefix stays diffable against dumps from before the
-//!   section existed.
-//! * `clustered` reruns whatever grid the other flags select with
-//!   cores-per-cluster 4 under the **flat labels**: clustering is
-//!   timing-transparent by construction, so
-//!   `diff <(cycle_dump extended) <(cycle_dump extended clustered)`
-//!   must be empty — CI pins exactly that.
+//! * `bigtopo` appends a **big-topology** section (256-core rows under
+//!   the plain and the `x16` cluster label, plus a 16-core `x4` row)
+//!   exercising the O(activity) scheduler at scale. Behind its own flag
+//!   so the base+extended prefix stays diffable against dumps from
+//!   before the section existed.
 //! * `replay` reruns whatever grid the other flags select through the
 //!   record/replay engine: every row is executed once under a trace
 //!   recorder, the trace round-trips through the on-disk codec, and the
@@ -104,7 +100,9 @@ fn run_row_replayed(
     Ok(replayed)
 }
 
-/// Whether `name` is among the command-line flags.
+const MODES: [&str; 4] = ["extended", "bigtopo", "replay", "traced"];
+
+/// Whether `name` is among the command-line modes.
 fn flag(name: &str) -> bool {
     std::env::args().skip(1).any(|a| a == name)
 }
@@ -137,17 +135,10 @@ fn dump(label: &str, kernel: &mut dyn Kernel, config: &DeviceConfig, policy: Lws
 }
 
 fn main() {
-    let (extended, bigtopo, clustered) = (flag("extended"), flag("bigtopo"), flag("clustered"));
-    // Under `clustered`, regroup every still-flat config into clusters of
-    // 4 while keeping the label the caller printed — the dump must not
-    // change by a single byte.
-    let cluster = |c: DeviceConfig| {
-        if clustered && c.cores_per_cluster == 1 {
-            c.with_clustering(4)
-        } else {
-            c
-        }
-    };
+    if let Some(unknown) = std::env::args().skip(1).find(|a| !MODES.contains(&a.as_str())) {
+        eprintln!("unknown mode `{unknown}`\nusage: cycle_dump [{}]", MODES.join("] ["));
+        std::process::exit(2);
+    }
     let configs: Vec<DeviceConfig> =
         ["1c2w4t", "1c4w8t", "2c2w2t", "4c8w16t", "3c5w7t", "16c16w16t"]
             .iter()
@@ -155,37 +146,32 @@ fn main() {
             .collect();
     for mut kernel in kernels() {
         for config in &configs {
-            let run_config = cluster(*config);
             for policy in [LwsPolicy::Naive1, LwsPolicy::Fixed32, LwsPolicy::Auto] {
-                dump(&config.topology_name(), kernel.as_mut(), &run_config, policy);
+                dump(&config.topology_name(), kernel.as_mut(), config, policy);
             }
         }
     }
-    if extended {
+    if flag("extended") {
         // Cache-thrashing section: small topologies are enough — the
         // point is the memory walk, not the scheduler.
         for mut kernel in kernels() {
             for topo in ["1c2w4t", "2c4w8t"] {
                 let mut config: DeviceConfig = topo.parse().expect("valid topology");
                 config.mem = thrash_mem();
-                let config = cluster(config);
                 for policy in [LwsPolicy::Naive1, LwsPolicy::Fixed32, LwsPolicy::Auto] {
                     dump(&format!("thrash-{topo}"), kernel.as_mut(), &config, policy);
                 }
             }
         }
     }
-    if bigtopo {
-        // Big-topology section: 256 cores flat, the same 256 cores in
-        // 16-core clusters, and the default sweep's largest topology in
-        // 4-core clusters. The x-suffix rows carry their own labels, so
-        // within one dump a clustered row must match its flat twin on
-        // every column after the label — and the whole section must be
-        // identical with and without the global `clustered` flag.
+    if flag("bigtopo") {
+        // Big-topology section: 256 cores, the same 256 cores under the
+        // `x16` cluster label, and the default sweep's largest topology
+        // under `x4`. `cores_per_cluster` is a label only, so an x-suffix
+        // row must match its plain twin on every column after the label.
         for mut kernel in kernels() {
             for topo in ["256c4w8t", "256c4w8tx16", "16c16w16tx4"] {
                 let config: DeviceConfig = topo.parse().expect("valid topology");
-                let config = cluster(config);
                 for policy in [LwsPolicy::Naive1, LwsPolicy::Fixed32, LwsPolicy::Auto] {
                     dump(&format!("big-{topo}"), kernel.as_mut(), &config, policy);
                 }

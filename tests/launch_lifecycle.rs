@@ -148,14 +148,14 @@ fn reset_work_scales_with_touched_state_not_topology() {
     assert_eq!(rt.device().last_reset_work(), ResetWork::default());
 
     // The same discipline at big-topology scale: one task on a 256-core
-    // device (16-core clusters) still sweeps exactly one core and one
-    // L1 — the other 255 cores cost zero bytes touched.
+    // device still sweeps exactly one core and one L1 — the other 255
+    // cores cost zero bytes touched.
     let config: DeviceConfig = "256c4w8tx16".parse().unwrap();
     let mut rt = Runtime::new(config);
     rt.load_program(&program);
     let outcome = run_kernel_prepared(&mut kernel, &program, &mut rt, LwsPolicy::Fixed32).unwrap();
     assert_eq!(outcome.reports[0].active_cores, 1);
-    assert_eq!(rt.device().live_clusters(), 0, "all work drained after the run");
+    assert!(rt.device().all_idle(), "all work drained after the run");
     rt.reset();
     assert_eq!(rt.device().last_reset_work(), ResetWork { cores: 1, l1_caches: 1 });
     rt.reset();
@@ -203,8 +203,7 @@ fn machine_after(
 /// Run-ahead ≡ strict order, kernel by kernel: a sink forces the strict
 /// `(cycle, core)` interleaving, an untraced run orders cores only at
 /// their L1 misses, and the two must leave the same machine — on a mid
-/// and a large flat topology, on a hierarchy that thrashes, and on 256
-/// clustered cores.
+/// and a large topology, on a hierarchy that thrashes, and on 256 cores.
 #[test]
 fn every_kernel_leaves_the_same_machine_traced_and_untraced() {
     let kernels = || -> Vec<Box<dyn Kernel>> {
