@@ -11,7 +11,7 @@
 //! cargo run --release -p vortex-bench --bin ablations
 //! ```
 
-use vortex_bench::cli::{default_jobs, Flags};
+use vortex_bench::cli::{default_jobs, or_exit, Flags};
 use vortex_bench::{paper_sweep, subsample};
 use vortex_core::LwsPolicy;
 use vortex_kernels::{run_kernel, Kernel as _, Knn, VecAdd};
@@ -20,9 +20,9 @@ use vortex_stats::{RatioSummary, Table};
 
 fn main() {
     let flags = Flags::from_env();
-    let jobs = flags.get_usize("jobs", default_jobs());
+    let jobs = or_exit(flags.get_usize("jobs", default_jobs()));
     let _ = jobs;
-    let configs = subsample(&paper_sweep(), flags.get_usize("configs", 24));
+    let configs = subsample(&paper_sweep(), or_exit(flags.get_usize("configs", 24)));
 
     tuner_rounding(&configs);
     dispatch_overhead(&configs);

@@ -8,7 +8,7 @@ use vortex_kernels::{run_kernel, VecAdd};
 fn main() {
     let flags = Flags::from_env();
     let config = or_exit(flags.get_topology("topo", "24c2w4t"));
-    let n = flags.get_usize("n", 4096) as u32;
+    let n = or_exit(flags.get_usize("n", 4096)) as u32;
     for lws in [1u32, 2, 4, 8, 16, 21, 32, 64, 128] {
         let mut k = VecAdd::new(n);
         let policy = LwsPolicy::Explicit(lws);

@@ -17,8 +17,8 @@ use vortex_trace::{render_timeline, TimelineOptions, Trace, TraceStats};
 
 fn main() {
     let flags = Flags::from_env();
-    let n = flags.get_usize("n", 128) as u32;
-    let width = flags.get_usize("width", 96);
+    let n = or_exit(flags.get_usize("n", 128)) as u32;
+    let width = or_exit(flags.get_usize("width", 96));
     let config = or_exit(flags.get_topology("topo", "1c2w4t"));
     let hp = config.hardware_parallelism();
 

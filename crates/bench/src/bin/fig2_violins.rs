@@ -13,17 +13,17 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use vortex_bench::cli::{default_jobs, Flags};
-use vortex_bench::{kernel_factories, paper_sweep, run_campaign, subsample, Scale};
+use vortex_bench::cli::{default_jobs, or_exit, select_kernels, Flags};
+use vortex_bench::{paper_sweep, run_campaign, subsample, Scale};
 use vortex_stats::{render_violin_row, RatioSummary, Table};
 
 fn main() {
     let flags = Flags::from_env();
-    let jobs = flags.get_usize("jobs", default_jobs());
-    let n_configs = flags.get_usize("configs", 450);
-    let bins = flags.get_usize("bins", 48);
+    let jobs = or_exit(flags.get_usize("jobs", default_jobs()));
+    let n_configs = or_exit(flags.get_usize("configs", 450));
+    let bins = or_exit(flags.get_usize("bins", 48));
     let scale = if flags.has("paper-scale") { Scale::Paper } else { Scale::Sweep };
-    let wanted = flags.get_list("kernels");
+    let factories = or_exit(select_kernels(scale, flags.get_list("kernels").as_deref()));
 
     let configs = subsample(&paper_sweep(), n_configs);
     println!(
@@ -42,12 +42,7 @@ fn main() {
     let mut math_naive: Vec<f64> = Vec::new();
     let mut math_fixed: Vec<f64> = Vec::new();
 
-    for factory in kernel_factories(scale) {
-        if let Some(ws) = &wanted {
-            if !ws.iter().any(|w| w == factory.name) {
-                continue;
-            }
-        }
+    for factory in factories {
         let start = Instant::now();
         let result = run_campaign(&factory, &configs, jobs).unwrap_or_else(|e| {
             eprintln!("campaign failed for {}: {e}", factory.name);

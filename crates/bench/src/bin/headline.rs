@@ -7,7 +7,7 @@
 //! cargo run --release -p vortex-bench --bin headline -- --configs 60
 //! ```
 
-use vortex_bench::cli::{default_jobs, Flags};
+use vortex_bench::cli::{default_jobs, or_exit, Flags};
 use vortex_bench::{kernel_factories, paper_sweep, run_campaign, subsample, Scale};
 use vortex_stats::{RatioSummary, Table};
 
@@ -15,8 +15,8 @@ const MATH_KERNELS: [&str; 4] = ["vecadd", "relu", "saxpy", "sgemm"];
 
 fn main() {
     let flags = Flags::from_env();
-    let jobs = flags.get_usize("jobs", default_jobs());
-    let configs = subsample(&paper_sweep(), flags.get_usize("configs", 450));
+    let jobs = or_exit(flags.get_usize("jobs", default_jobs()));
+    let configs = subsample(&paper_sweep(), or_exit(flags.get_usize("configs", 450)));
     let scale = if flags.has("paper-scale") { Scale::Paper } else { Scale::Sweep };
 
     println!("§3 headline — math kernels over {} configurations\n", configs.len());

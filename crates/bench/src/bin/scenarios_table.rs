@@ -15,7 +15,7 @@ use vortex_stats::Table;
 
 fn main() {
     let flags = Flags::from_env();
-    let n = flags.get_usize("n", 128) as u32;
+    let n = or_exit(flags.get_usize("n", 128)) as u32;
     let config = or_exit(flags.get_topology("topo", "1c2w4t"));
     let hp = config.hardware_parallelism();
 

@@ -37,7 +37,7 @@
 
 use std::time::Instant;
 
-use vortex_bench::cli::{or_exit, Flags};
+use vortex_bench::cli::{or_exit, select_kernels, Flags};
 use vortex_bench::{campaign_key, kernel_factories, CampaignCache, Scale};
 use vortex_core::{DispatchStats, LwsPolicy, Runtime};
 use vortex_kernels::run_kernel_prepared;
@@ -71,9 +71,9 @@ fn print_cache_summary(dir: &str, config: &DeviceConfig, scale: Scale) {
 fn main() {
     let flags = Flags::from_env();
     let config = or_exit(flags.get_topology("topo", "8c8w8t"));
-    let reps = flags.get_usize("reps", 3);
-    let wanted = flags.get_list("kernels");
+    let reps = or_exit(flags.get_usize("reps", 3));
     let scale = if flags.has("paper-scale") { Scale::Paper } else { Scale::Sweep };
+    let factories = or_exit(select_kernels(scale, flags.get_list("kernels").as_deref()));
     if let Some(dir) = flags.get_str("cache") {
         print_cache_summary(dir, &config, scale);
     }
@@ -97,12 +97,7 @@ fn main() {
         "stl/acc",
         "ins/win"
     );
-    for factory in kernel_factories(scale) {
-        if let Some(ws) = &wanted {
-            if !ws.iter().any(|w| w == factory.name) {
-                continue;
-            }
-        }
+    for factory in factories {
         let mut kernel = (factory.make)();
         let program = kernel.build().expect("assembles");
         let mut rt = Runtime::new(config);

@@ -31,11 +31,11 @@
 
 use std::path::Path;
 
-use vortex_bench::cli::{default_jobs, or_exit, Flags};
+use vortex_bench::cli::{default_jobs, or_exit, select_kernels, Flags};
 use vortex_bench::tune::{DEFAULT_BUDGETS, DEFAULT_TOPOLOGIES};
 use vortex_bench::{
-    atomic_write, kernel_factories, merge_tune_files, render_tune_json, run_tune_evaluation,
-    CampaignCache, Scale, TuneFile,
+    atomic_write, merge_tune_files, render_tune_json, run_tune_evaluation, CampaignCache, Scale,
+    TuneFile,
 };
 use vortex_sim::DeviceConfig;
 
@@ -64,7 +64,7 @@ fn main() {
         return;
     }
 
-    let jobs = flags.get_usize("jobs", default_jobs());
+    let jobs = or_exit(flags.get_usize("jobs", default_jobs()));
     let budgets: Vec<usize> = match flags.get_list("budgets") {
         Some(list) => list
             .iter()
@@ -84,6 +84,7 @@ fn main() {
         .map(|t| or_exit(t.parse::<DeviceConfig>()))
         .collect();
     let scale = if flags.has("paper-scale") { Scale::Paper } else { Scale::Sweep };
+    let factories = or_exit(select_kernels(scale, flags.get_list("kernels").as_deref()));
     let cache = flags.get_str("cache").map(|dir| match CampaignCache::open(dir) {
         Ok(cache) => cache,
         Err(e) => {
@@ -91,11 +92,6 @@ fn main() {
             std::process::exit(1);
         }
     });
-    let wanted = flags.get_list("kernels");
-    let factories: Vec<_> = kernel_factories(scale)
-        .into_iter()
-        .filter(|f| wanted.as_ref().is_none_or(|ws| ws.iter().any(|w| w == f.name)))
-        .collect();
 
     let file = run_tune_evaluation(&factories, &topologies, &budgets, jobs, cache.as_ref())
         .unwrap_or_else(|e| {

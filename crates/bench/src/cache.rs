@@ -78,7 +78,7 @@ pub fn cache_enabled_by_env() -> bool {
 }
 
 /// Transport counters of one cache handle: what the store did for this
-/// process (all raw sums, so shard reports merge exactly).
+/// process (raw sums).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups answered from the store (simulations avoided).
@@ -554,7 +554,7 @@ mod tests {
     #[test]
     fn a_store_written_by_the_previous_codec_loads_and_rewrites_byte_for_byte() {
         // `tests/fixtures/store_pr11` was written by the last commit whose
-        // `render_line` was one `writeln!` (speed_probe + tune on four
+        // `render_line` was one `writeln!` (a sweep + tune on four
         // topologies, one clustered), when rows still carried the two
         // block-fusion counters: they load, and are rewritten without
         // them. Only the format is under test, so the rows are re-stamped

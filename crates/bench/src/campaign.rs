@@ -147,7 +147,7 @@ impl ConfigRow {
 }
 
 /// All measurements of one kernel across a configuration sweep.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CampaignResult {
     /// Kernel name.
     pub kernel: &'static str,
@@ -155,7 +155,8 @@ pub struct CampaignResult {
     pub rows: Vec<ConfigRow>,
     /// Policy runs measured by executing (and, with a trace store,
     /// recording) — a transport counter like the cache hit counts, not
-    /// simulation content, so shard merges sum it.
+    /// simulation content (blanked by
+    /// [`strip_run_metadata`](crate::persist::strip_run_metadata)).
     pub trace_records: u64,
     /// Policy runs measured by replaying a stored trace.
     pub trace_replays: u64,

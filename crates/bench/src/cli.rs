@@ -5,6 +5,8 @@ use std::fmt::Display;
 
 use vortex_sim::{DeviceConfig, ParseTopologyError};
 
+use crate::campaign::{kernel_factories, KernelFactory, Scale};
+
 /// Parsed `--key value` flags and bare positional arguments.
 ///
 /// # Examples
@@ -12,7 +14,7 @@ use vortex_sim::{DeviceConfig, ParseTopologyError};
 /// ```
 /// use vortex_bench::cli::Flags;
 /// let flags = Flags::parse(["--configs", "32", "--paper-scale"].map(String::from));
-/// assert_eq!(flags.get_usize("configs", 450), 32);
+/// assert_eq!(flags.get_usize("configs", 450), Ok(32));
 /// assert!(flags.has("paper-scale"));
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -50,9 +52,19 @@ impl Flags {
         self.switches.iter().any(|s| s == key)
     }
 
-    /// A `--key value` as usize, with a default.
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.values.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// A `--key value` as usize, `default` when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag and a value that is not a non-negative
+    /// integer, for [`or_exit`] to report.
+    pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.get_str(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("invalid --{key} `{v}` (expected a non-negative integer)")),
+        }
     }
 
     /// A `--key value` as string.
@@ -89,6 +101,26 @@ pub fn or_exit<T, E: Display>(parsed: Result<T, E>) -> T {
     })
 }
 
+/// The kernels a `--kernels a,b` list names, in [`kernel_factories`]
+/// order; all of them when `wanted` is `None`.
+///
+/// # Errors
+///
+/// A message naming the first unknown kernel and the valid names, for
+/// [`or_exit`] to report: a typo must not quietly select nothing.
+pub fn select_kernels(
+    scale: Scale,
+    wanted: Option<&[String]>,
+) -> Result<Vec<KernelFactory>, String> {
+    let factories = kernel_factories(scale);
+    let Some(wanted) = wanted else { return Ok(factories) };
+    if let Some(unknown) = wanted.iter().find(|w| factories.iter().all(|f| f.name != *w)) {
+        let valid: Vec<_> = factories.iter().map(|f| f.name).collect();
+        return Err(format!("unknown kernel `{unknown}` (valid: {})", valid.join(", ")));
+    }
+    Ok(factories.into_iter().filter(|f| wanted.iter().any(|w| w == f.name)).collect())
+}
+
 /// Default worker-thread count: the machine's parallelism.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(usize::from).unwrap_or(4)
@@ -104,12 +136,35 @@ mod tests {
             ["--jobs", "8", "--csv", "out.csv", "--verbose", "--kernels", "vecadd,relu"]
                 .map(String::from),
         );
-        assert_eq!(f.get_usize("jobs", 1), 8);
+        assert_eq!(f.get_usize("jobs", 1), Ok(8));
         assert_eq!(f.get_str("csv"), Some("out.csv"));
         assert!(f.has("verbose"));
         assert_eq!(f.get_list("kernels").unwrap(), vec!["vecadd", "relu"]);
         assert!(!f.has("missing"));
-        assert_eq!(f.get_usize("missing", 7), 7);
+        assert_eq!(f.get_usize("missing", 7), Ok(7));
+    }
+
+    #[test]
+    fn malformed_numbers_are_errors_not_defaults() {
+        for bad in ["2O", "-1", ""] {
+            let f = Flags::parse(["--configs", bad].map(String::from));
+            let err = f.get_usize("configs", 450).expect_err(bad);
+            assert!(err.contains(&format!("--configs `{bad}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn unknown_kernels_are_errors_naming_the_valid_ones() {
+        let names = |ks: &[&str]| {
+            let wanted: Vec<String> = ks.iter().map(|k| k.to_string()).collect();
+            select_kernels(Scale::Sweep, Some(&wanted))
+                .map(|fs| fs.iter().map(|f| f.name).collect::<Vec<_>>())
+        };
+        assert_eq!(names(&["relu", "vecadd"]).unwrap(), ["vecadd", "relu"]);
+        let err = names(&["vecadd", "vecad"]).unwrap_err();
+        assert!(err.contains("`vecad`") && err.contains("vecadd, relu, saxpy"), "{err}");
+        assert!(names(&[""]).is_err(), "an empty name selects nothing, so it is an error");
+        assert_eq!(select_kernels(Scale::Sweep, None).unwrap().len(), 10);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The resumable sweep driver: a crash-safe work queue over the
 //! campaign grid, backed by the content-addressed result store.
 //!
-//! [`run_queue`] generalises the probe's `--shard K/M` + `--merge` flow:
-//! instead of partitioning the grid *spatially* across processes, the
-//! queue partitions it *temporally* across invocations. Every (kernel,
+//! [`run_queue`] partitions the grid *temporally* across invocations
+//! (`campaign --workers` adds the *spatial* split: strided shards in
+//! child processes whose stores the parent absorbs). Every (kernel,
 //! configuration) pair of the sweep becomes a work item identified by its
 //! [`campaign_key`](crate::cache::campaign_key); an item is **done** iff
 //! its row is resident in the store — the store is the single source of
@@ -33,7 +33,8 @@ use vortex_kernels::KernelError;
 use vortex_sim::DeviceConfig;
 
 use crate::cache::{campaign_key_from_digest, CacheCounters, CampaignCache};
-use crate::campaign::{kernel_factories, run_campaign_cached_traced, CampaignResult, Scale};
+use crate::campaign::{run_campaign_cached_traced, CampaignResult, Scale};
+use crate::cli::select_kernels;
 use crate::persist::atomic_write;
 use crate::probe::{render_json, KernelRow, ProbeFile};
 use crate::tracestore::TraceStore;
@@ -49,7 +50,8 @@ pub struct QueueSpec {
     pub dir: PathBuf,
     /// Result-store directory (see [`CampaignCache`]).
     pub cache_dir: PathBuf,
-    /// Kernel-name filter (`None` = all nine paper kernels).
+    /// Kernel-name filter (`None` = every kernel; an unknown name is
+    /// [`DriverError::UnknownKernel`]).
     pub kernels: Option<Vec<String>>,
     /// The configuration grid (pre-subsampling already applied).
     pub configs: Vec<DeviceConfig>,
@@ -108,7 +110,8 @@ pub struct QueueOutcome {
     pub remaining: usize,
     /// Whether the whole queue is now done.
     pub complete: bool,
-    /// The assembled full-campaign probe JSON — present iff `complete`.
+    /// The assembled full-campaign report (probe JSON) — present iff
+    /// `complete`.
     pub result_json: Option<String>,
     /// The store handle's transport counters.
     pub counters: CacheCounters,
@@ -123,6 +126,9 @@ pub enum DriverError {
     Io(io::Error),
     /// A kernel campaign failed (assembly, launch, verification).
     Kernel(KernelError),
+    /// The kernel filter names a kernel that does not exist (the message
+    /// lists the valid names).
+    UnknownKernel(String),
     /// `resume` was requested but no manifest exists at the path.
     NoManifest(PathBuf),
     /// `resume` was requested but the manifest's spec digest does not
@@ -147,6 +153,7 @@ impl std::fmt::Display for DriverError {
         match self {
             DriverError::Io(e) => write!(f, "queue I/O: {e}"),
             DriverError::Kernel(e) => write!(f, "kernel campaign failed: {e}"),
+            DriverError::UnknownKernel(msg) => write!(f, "{msg}"),
             DriverError::NoManifest(p) => {
                 write!(f, "--resume: no manifest at {} (run without --resume first)", p.display())
             }
@@ -188,16 +195,14 @@ impl From<KernelError> for DriverError {
 ///
 /// See [`DriverError`].
 pub fn run_queue(spec: &QueueSpec) -> Result<QueueOutcome, DriverError> {
+    let factories =
+        select_kernels(spec.scale, spec.kernels.as_deref()).map_err(DriverError::UnknownKernel)?;
     let cache = CampaignCache::open(&spec.cache_dir)?.with_autoflush(true);
     if spec.resume && !cache.is_enabled() {
         return Err(DriverError::CacheDisabled);
     }
     let traces = spec.trace_dir.as_deref().map(TraceStore::open).transpose()?;
 
-    let factories: Vec<_> = kernel_factories(spec.scale)
-        .into_iter()
-        .filter(|f| spec.kernels.as_ref().is_none_or(|ws| ws.iter().any(|w| w == f.name)))
-        .collect();
     let configs = spec.sharded_configs();
 
     // The queue: kernel-major, grid order — the same order a plain
@@ -235,14 +240,13 @@ pub fn run_queue(spec: &QueueSpec) -> Result<QueueOutcome, DriverError> {
 
     // Simulate the selected remainder, kernel by kernel. With the cache
     // in autoflush mode every finished configuration is durable before
-    // the next one starts.
+    // the next one starts. Each kernel's batch result is kept: it carries
+    // this invocation's seconds and trace counters (and, with the store
+    // disabled, the rows themselves).
     let wall = Instant::now();
-    let mut simulated = 0usize;
-    let mut kernel_seconds: Vec<f64> = vec![0.0; factories.len()];
-    let mut kernel_simulated: Vec<usize> = vec![0usize; factories.len()];
-    let mut disabled_results: Vec<Option<CampaignResult>> = Vec::new();
-    disabled_results.resize_with(factories.len(), || None);
-    for (fi, factory) in factories.iter().enumerate() {
+    let mut batches: Vec<Option<(f64, CampaignResult)>> = Vec::new();
+    batches.resize_with(factories.len(), || None);
+    for (factory, slot) in factories.iter().zip(&mut batches) {
         let batch: Vec<DeviceConfig> = selected
             .iter()
             .filter(|&&i| items[i].kernel == factory.name)
@@ -254,13 +258,9 @@ pub fn run_queue(spec: &QueueSpec) -> Result<QueueOutcome, DriverError> {
         let start = Instant::now();
         let result =
             run_campaign_cached_traced(factory, &batch, spec.jobs, Some(&cache), traces.as_ref())?;
-        kernel_seconds[fi] = start.elapsed().as_secs_f64();
-        kernel_simulated[fi] = batch.len();
-        simulated += batch.len();
-        if !cache.is_enabled() {
-            disabled_results[fi] = Some(result);
-        }
+        *slot = Some((start.elapsed().as_secs_f64(), result));
     }
+    let simulated = batches.iter().flatten().map(|(_, r)| r.rows.len()).sum();
 
     let done_after: Vec<bool> = if cache.is_enabled() {
         items.iter().map(|it| cache.contains(it.kernel, it.key)).collect()
@@ -275,9 +275,13 @@ pub fn run_queue(spec: &QueueSpec) -> Result<QueueOutcome, DriverError> {
 
     let result_json = if complete {
         let mut rows: Vec<KernelRow> = Vec::with_capacity(factories.len());
-        for (fi, factory) in factories.iter().enumerate() {
-            let kernel_rows: Vec<_> = if cache.is_enabled() {
-                items
+        for (factory, batch) in factories.iter().zip(batches) {
+            let (seconds, mut result) = batch.unwrap_or_else(|| {
+                (0.0, CampaignResult { kernel: factory.name, ..CampaignResult::default() })
+            });
+            let simulated = result.rows.len() as u64;
+            if cache.is_enabled() {
+                result.rows = items
                     .iter()
                     .filter(|it| it.kernel == factory.name)
                     .map(|it| {
@@ -289,19 +293,10 @@ pub fn run_queue(spec: &QueueSpec) -> Result<QueueOutcome, DriverError> {
                             ))
                         })
                     })
-                    .collect::<Result<_, _>>()?
-            } else {
-                disabled_results[fi].take().map(|r| r.rows).unwrap_or_default()
-            };
-            let result = CampaignResult {
-                kernel: factory.name,
-                rows: kernel_rows,
-                trace_records: 0,
-                trace_replays: 0,
-            };
-            let simulated = kernel_simulated[fi] as u64;
+                    .collect::<Result<_, _>>()?;
+            }
             let hits = configs.len() as u64 - simulated;
-            rows.push(KernelRow::of_campaign(&result, kernel_seconds[fi], hits, simulated));
+            rows.push(KernelRow::of_campaign(&result, seconds, hits, simulated));
         }
         let file = ProbeFile {
             configs: configs.len(),

@@ -7,10 +7,14 @@
 //! | §3 headline (1.3× / 3.7× for the math kernels) | `headline` |
 //! | §2 scenario analysis (three mapping regimes) | `scenarios_table` |
 //! | Ablations (tuner variants, dispatch-overhead sensitivity) | `ablations` |
+//! | Resumable sweep: kernels × grid × policies, JSON report | `campaign` |
 //!
 //! The library half of this crate (the [`sweep`] generator and the
 //! [`campaign`] runner) is shared by the binaries, the Criterion benches
-//! and the integration tests.
+//! and the integration tests. `campaign` is the one sweep command: its
+//! [`driver`] runs the grid as a resumable queue over the result store
+//! ([`cache`]), `--workers N` shards it across processes whose stores
+//! merge exactly, and the report it writes is the [`probe`] dialect.
 
 #![forbid(unsafe_code)]
 
@@ -31,8 +35,8 @@ pub use campaign::{
     Scale,
 };
 pub use persist::{atomic_write, strip_run_metadata};
-pub use probe::{merge_probe_files, parse_probe_json, render_json, KernelRow, ProbeFile};
-pub use sweep::{paper_sweep, subsample};
+pub use probe::{render_json, KernelRow, ProbeFile};
+pub use sweep::{paper_sweep, subsample, uarch_variant};
 pub use tracestore::{trace_key, TraceStore};
 pub use tune::{
     evaluate_tune, merge_tune_files, parse_tune_json, render_tune_json, run_tune_evaluation,

@@ -1,8 +1,8 @@
-//! Crash-safe file persistence shared by the campaign cache, the
-//! resumable driver and the probe binaries.
+//! Crash-safe file persistence shared by the campaign cache, the trace
+//! store, the resumable driver and the CLI binaries.
 //!
-//! Every artefact this crate writes — probe JSONs, cache shards, work
-//! manifests — goes through [`atomic_write`]: the content lands in a
+//! Every artefact this crate writes — campaign and tune reports, cache
+//! shards, traces, work manifests — goes through [`atomic_write`]: the content lands in a
 //! sibling temporary file first and is atomically renamed over the
 //! destination, so a killed process can never leave a truncated or
 //! half-updated file behind (the old content, if any, stays intact until
@@ -40,8 +40,9 @@ pub fn atomic_write_bytes(path: &Path, content: &[u8]) -> io::Result<()> {
 /// The staging half of [`atomic_write_bytes`], for callers that write
 /// many files into a directory they have already created.
 pub(crate) fn replace_file(path: &Path, content: &[u8]) -> io::Result<()> {
-    // Unique per process so concurrent writers (CI shards pointed at a
-    // shared directory) cannot clobber each other's staging files.
+    // Unique per process so concurrent writers (`campaign --workers`
+    // children sharing a trace directory) cannot clobber each other's
+    // staging files.
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".{}.tmp", std::process::id()));
     let tmp = std::path::PathBuf::from(tmp);
@@ -73,7 +74,7 @@ const RUN_METADATA: [&str; 15] = [
     "host_ns_per_instr",
 ];
 
-/// Blanks the run-specific transport fields of a probe or tune JSON —
+/// Blanks the run-specific transport fields of a campaign or tune report —
 /// wall-clock seconds and store hit/miss/byte counters — leaving only
 /// the simulation-derived content. Two runs of the same campaign must
 /// agree byte-for-byte on the stripped form no matter how the work was

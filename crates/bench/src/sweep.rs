@@ -29,6 +29,38 @@ pub fn paper_sweep() -> Vec<DeviceConfig> {
     configs
 }
 
+/// Deterministic micro-architecture variant `v` of `base`: perturbs
+/// pipeline latencies, cache geometry and DRAM parameters — everything
+/// trace replay re-times — while leaving the topology (and therefore the
+/// trace key) untouched. Variant 0 is `base` itself; `campaign --uarch M`
+/// expands every grid topology into variants `0..M`.
+pub fn uarch_variant(base: &DeviceConfig, v: usize) -> DeviceConfig {
+    let mut c = *base;
+    if v == 0 {
+        return c;
+    }
+    let k = v as u64;
+    c.timing.alu = 1 + (k & 1);
+    c.timing.mul = 2 + k % 5;
+    c.timing.div = 12 + 2 * (k % 4);
+    c.timing.fpu = 3 + k % 4;
+    c.timing.fdiv = 12 + 3 * (k % 3);
+    c.timing.fsqrt = 16 + 4 * (k % 3);
+    c.timing.branch_bubble = 1 + k % 3;
+    c.timing.wspawn = 8 + 4 * (k % 4);
+    c.timing.barrier = 2 + k % 4;
+    c.mem.l1_latency = 1 + k % 3;
+    c.mem.l2_latency = 12 + 6 * (k % 4);
+    c.mem.l2_interval = 1 + k % 2;
+    c.mem.l1.size_bytes = (8 * 1024) << (k % 3);
+    c.mem.l1.ways = 2 << (k % 3);
+    c.mem.l2.size_bytes = (128 * 1024) << (k % 3);
+    c.mem.dram.latency = 60 + 30 * (k % 4);
+    c.mem.dram.interval = 1 + k % 3;
+    c.mem.dram.channels = 2 << (k % 3);
+    c
+}
+
 /// Deterministically subsamples `configs` down to at most `n` entries,
 /// keeping the first and last and spreading the rest evenly.
 pub fn subsample(configs: &[DeviceConfig], n: usize) -> Vec<DeviceConfig> {
@@ -83,6 +115,17 @@ mod tests {
         assert_eq!(sub.last().unwrap().topology_name(), "64c32w32t");
         assert_eq!(subsample(&sweep, 1000).len(), 450);
         assert!(subsample(&sweep, 0).is_empty());
+    }
+
+    #[test]
+    fn uarch_variants_keep_the_topology() {
+        let base = DeviceConfig::with_topology(4, 8, 8).with_clustering(2);
+        assert_eq!(uarch_variant(&base, 0), base);
+        for v in 1..4 {
+            let c = uarch_variant(&base, v);
+            assert_ne!(c, base, "variant {v} must re-time");
+            assert_eq!(c.topology_name(), base.topology_name());
+        }
     }
 
     #[test]

@@ -137,8 +137,7 @@ impl TraceStore {
         self.replays.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `(records, replays)` since this handle was opened — raw sums, so
-    /// shard totals merge exactly.
+    /// `(records, replays)` since this handle was opened (raw sums).
     pub fn counters(&self) -> (u64, u64) {
         (self.records.load(Ordering::Relaxed), self.replays.load(Ordering::Relaxed))
     }

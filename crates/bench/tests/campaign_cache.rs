@@ -1,16 +1,18 @@
 //! End-to-end guarantees of the campaign cache and the resumable
 //! driver, exercised through the crate's public API exactly as the
-//! `speed_probe` and `campaign` binaries use it: cold→warm transparency
-//! (a warm run simulates nothing and reports identical bytes), exact
-//! delta simulation, and budget-kill → resume reassembly.
+//! `campaign` binary uses it: cold→warm transparency (a warm run
+//! simulates nothing and reports identical bytes), exact delta
+//! simulation, budget-kill → resume reassembly, trace record → replay
+//! transparency, and the CLI's input checks.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use vortex_bench::driver::{run_queue, QueueSpec};
+use vortex_bench::jsonl::fields;
 use vortex_bench::probe::{render_json, KernelRow, ProbeFile};
 use vortex_bench::{
-    kernel_factories, parse_probe_json, run_campaign, run_campaign_cached, strip_run_metadata,
+    kernel_factories, run_campaign, run_campaign_cached, strip_run_metadata, uarch_variant,
     CampaignCache, CampaignResult, KernelFactory, Scale,
 };
 use vortex_kernels::{Kernel, PhaseSpec, VecAdd, VerifyError};
@@ -30,19 +32,34 @@ fn tmp(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Renders a campaign result the way `speed_probe --json` does, with the
-/// run-specific fields already zeroed (what the CI gate diffs).
-fn probe_json(result: &CampaignResult, hits: u64, misses: u64) -> String {
+/// Renders campaign results the way `campaign --json` does, with the
+/// run-specific fields already zeroed (what the CI gates diff).
+fn report(results: &[CampaignResult], hits: u64, misses: u64) -> String {
     let file = ProbeFile {
-        configs: result.rows.len(),
+        configs: results[0].rows.len(),
         jobs: 2,
         total_seconds: 0.0,
         shard: None,
         cache_bytes_read: 0,
         cache_bytes_written: 0,
-        rows: vec![KernelRow::of_campaign(result, 0.0, hits, misses)],
+        rows: results.iter().map(|r| KernelRow::of_campaign(r, 0.0, hits, misses)).collect(),
     };
     strip_run_metadata(&render_json(&file))
+}
+
+/// The stripped report of plain, store-less campaigns of `kernels`.
+fn plain_report(kernels: &[&str], grid: &[DeviceConfig]) -> String {
+    let results: Vec<_> = kernel_factories(Scale::Sweep)
+        .iter()
+        .filter(|f| kernels.contains(&f.name))
+        .map(|f| run_campaign(f, grid, 2).unwrap())
+        .collect();
+    report(&results, 0, 0)
+}
+
+/// Sums one counter over every row of a rendered report.
+fn report_sum(json: &str, key: &str) -> u64 {
+    fields(json).filter(|(k, _)| *k == key).map(|(_, v)| v.parse::<u64>().unwrap()).sum()
 }
 
 /// A `VecAdd` that reports, when it is dropped, whether its inputs were
@@ -138,8 +155,8 @@ fn warm_rerun_simulates_zero_configs_with_identical_report() {
 
     // Byte-identical probe reports once run metadata is stripped.
     assert_eq!(
-        probe_json(&cold, 0, after_cold.misses),
-        probe_json(&warm, after_warm.hits, 0),
+        report(std::slice::from_ref(&cold), 0, after_cold.misses),
+        report(std::slice::from_ref(&warm), after_warm.hits, 0),
         "warm report must be byte-identical to the cold one"
     );
     // And the uncached baseline agrees row for row.
@@ -208,11 +225,62 @@ fn budget_kill_then_resume_reassembles_the_cold_report() {
         strip_run_metadata(&cold_json),
         "resumed report must be bit-identical to the uninterrupted run"
     );
-    // The merged probe dialect parses back with exact counter totals.
-    let parsed = parse_probe_json(&cold_json).unwrap();
-    assert_eq!(parsed.rows.len(), 2);
-    assert_eq!(parsed.rows.iter().map(|r| r.configs).sum::<usize>(), 6);
+    // And both are the report of plain, store-less campaigns.
+    assert_eq!(strip_run_metadata(&cold_json), plain_report(&["vecadd", "relu"], &tiny_grid()));
     std::fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
+fn traced_queue_records_cold_replays_warm_and_reports_the_same_rows() {
+    let base = tmp("traced");
+    // Every topology in two adjacent micro-architecture variants, as
+    // `campaign --uarch 2` builds the grid.
+    let grid: Vec<DeviceConfig> =
+        tiny_grid().iter().flat_map(|t| (0..2).map(|v| uarch_variant(t, v))).collect();
+    let spec = |queue: &str, traced: bool| QueueSpec {
+        dir: base.join(queue),
+        cache_dir: base.join(queue).join("store"),
+        kernels: Some(vec!["vecadd".into(), "relu".into()]),
+        configs: grid.clone(),
+        scale: Scale::Sweep,
+        shard: None,
+        jobs: 2,
+        budget: None,
+        trace_dir: traced.then(|| base.join("traces")),
+        resume: false,
+    };
+    let run = |queue: &str, traced: bool| run_queue(&spec(queue, traced)).unwrap().result_json;
+
+    let untraced = run("untraced", false).unwrap();
+    assert_eq!(report_sum(&untraced, "trace_records") + report_sum(&untraced, "trace_replays"), 0);
+    let cold = run("cold", true).unwrap();
+    assert!(report_sum(&cold, "trace_records") > 0, "a cold trace store records");
+    // A fresh result store over the same trace store: everything is
+    // simulated again, every run from a stored trace.
+    let warm = run("warm", true).unwrap();
+    assert_eq!(report_sum(&warm, "trace_records"), 0, "a warm trace store re-records nothing");
+    assert!(report_sum(&warm, "trace_replays") > 0, "a warm trace store replays");
+    for traced in [&cold, &warm] {
+        assert_eq!(strip_run_metadata(traced), strip_run_metadata(&untraced));
+    }
+    assert_eq!(strip_run_metadata(&untraced), plain_report(&["vecadd", "relu"], &grid));
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
+fn unknown_kernel_exits_2_before_creating_the_queue() {
+    let base = tmp("unknown_kernel");
+    let queue = base.join("q");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .arg("--dir")
+        .arg(&queue)
+        .args(["--kernels", "vecad", "--topos", "1c2w2t"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`vecad`") && stderr.contains("vecadd"), "{stderr}");
+    assert!(!queue.exists(), "a rejected invocation must not create the queue directory");
 }
 
 #[test]
